@@ -69,7 +69,6 @@ from .exceptions import (
 from .kernel import (
     ExponentialKernel,
     corr_matrix,
-    ldl_factor,
     ones_quadratic_form,
     precision_matrix,
     quad_forms_at,
@@ -110,7 +109,7 @@ __all__ = [
     # design
     "Design", "equispaced", "rescale", "majorization_perturb",
     # kernel
-    "ExponentialKernel", "corr_matrix", "ldl_factor", "precision_matrix",
+    "ExponentialKernel", "corr_matrix", "precision_matrix",
     "ones_quadratic_form", "quad_forms_at",
     # covariance models
     "Correlogram", "ExponentialCorrelogram", "SquaredExponentialCorrelogram",

@@ -356,10 +356,8 @@ def _cmd_profile(args) -> int:
     pts = design.points
     mids = (pts[:-1] + pts[1:]) / 2.0
     x0s = np.unique(np.concatenate([grid, pts, mids]))
-    rows = ["x0,mspe"]
-    for x0 in x0s:
-        val = predict.mspe_closed_form(kernel, design, float(x0), args.model)
-        rows.append(f"{_fmt(x0)},{_fmt(val)}")
+    vals = predict.mspe_closed_form(kernel, design, x0s, args.model)
+    rows = ["x0,mspe"] + [f"{_fmt(x0)},{_fmt(val)}" for x0, val in zip(x0s, vals)]
     text = "\n".join(rows) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

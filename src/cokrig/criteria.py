@@ -2,20 +2,23 @@
 
 All criteria live on designs normalized to the unit interval (use
 ``design.rescale`` first; the exponential kernel only feels the product
-of rate and distance, so nothing is lost).  With gaps ``d_i`` and
-``w(d) = 1 - exp(-2 theta d)``:
+of rate and distance, so nothing is lost).  With gaps ``d_i``,
+``x_i = theta d_i`` and ``t_i = tanh(x_i / 2)``:
 
 * the simple-kriging error supremum over interval ``i`` is
-  ``sigma11 * tanh(theta d_i / 2)``, attained at the midpoint;
-* the ordinary variant adds
-  ``sigma11 * (1 - 2 e^{-theta d_i/2} / (1 + e^{-theta d_i}))^2 / q0``
-  with ``q0 = 1'P^{-1}1``, again peaking at the midpoint;
-* the integrated simple-kriging error is
-  ``sigma11 * (1 - (n-1)/theta + 2 sum_i phi(d_i))`` with
-  ``phi(d) = d e^{-2 theta d} / w(d)``;
-* the ordinary variant adds ``sigma11 * sum_i g(d_i) / q0`` where
-  ``g(d) = d + (3 (e^{-2 theta d} - 1) + 2 theta d e^{-theta d})
-  / (theta (1 + e^{-theta d})^2)``.
+  ``sigma11 * t_i``, attained at the midpoint;
+* the ordinary variant adds ``sigma11 * (t_i^2 / (1 + sech(x_i / 2)))^2
+  / q0``, i.e. ``(1 - sech)^2 / q0`` without the cancellation, with
+  ``q0 = 1'P^{-1}1 = 1 + sum_i t_i``; it too peaks at the midpoint;
+* the integrated simple-kriging error over interval ``i`` is
+  ``sigma11 * (x_i coth x_i - 1) / theta``;
+* the ordinary variant adds ``sigma11 * g(d_i) / q0`` with
+  ``g(d) = (x (3 - t^2) - 6 t) / (2 theta)``.
+
+Both integrated terms cancel at small ``x``, where their Taylor series
+in ``x^2`` (``x^2/3 - x^4/45 + ...``, ``x^5/120 - ...``) take over.  The
+criteria, the risk quadrature and the optimizer all get these terms from
+``kernel._interval_terms``.
 
 Every one of these is symmetric and convex in the gap vector, hence
 Schur-convex, which is why the equispaced design minimizes each
@@ -23,15 +26,16 @@ criterion and their averages over any decay-rate prior.
 
 Bayes risks average a criterion over a prior on ``theta`` and scale by
 the prior mean of ``sigma11`` (criteria are linear in the variance).
-The uniform-prior simple-model risks integrate in closed form; all
-other combinations use Gauss-Legendre quadrature with node doubling.
+The uniform-prior simple-model risks integrate in closed form, through
+``log cosh`` and ``log(sinh x / x)``; all other combinations use
+Gauss-Legendre quadrature with node doubling.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import kernel as kern
 from .design import Design
@@ -57,6 +61,13 @@ MODELS = ("simple", "ordinary")
 RISK_QUAD_START = 64
 RISK_QUAD_MAX = 4096
 RISK_QUAD_TOL = 1e-9
+
+# The risk quadrature evaluates at most this many (node, gap) terms at
+# once, so its memory does not grow with the number of sites.
+_RISK_QUAD_BLOCK = 2**19
+
+# log(sinh x / x) integrates (x coth x - 1) / x term by term.
+_SINHC_SERIES = kern._COTH_SERIES / np.arange(2, 2 * kern._COTH_SERIES.size + 1, 2)
 
 
 def _check_model(model: str) -> str:
@@ -180,44 +191,17 @@ class CriterionReport:
 
 
 # --------------------------------------------------------------------------
-# vectorized closed forms (theta may be an array; gaps along last axis)
-# --------------------------------------------------------------------------
-
-def _smspe_values(theta, gaps, model: str):
-    theta = np.asarray(theta, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    td = theta[..., None] * gaps
-    per = np.tanh(0.5 * td)
-    vals = per.max(axis=-1)
-    if model == "ordinary":
-        e = np.exp(-td)
-        u_sup = (1.0 - 2.0 * np.exp(-0.5 * td) / (1.0 + e)) ** 2
-        q0 = 1.0 + np.sum(np.tanh(0.5 * td), axis=-1)
-        vals = np.max(per + u_sup / q0[..., None], axis=-1)
-    return vals
-
-
-def _imspe_values(theta, gaps, model: str):
-    theta = np.asarray(theta, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    td = theta[..., None] * gaps
-    u = np.exp(-2.0 * td)
-    phi_sum = np.sum(gaps * u / (1.0 - u), axis=-1)
-    k = gaps.shape[-1]
-    vals = 1.0 - k / theta + 2.0 * phi_sum
-    if model == "ordinary":
-        e = np.exp(-td)
-        g = gaps + (3.0 * np.expm1(-2.0 * td) + 2.0 * td * e) / (
-            theta[..., None] * (1.0 + e) ** 2
-        )
-        q0 = 1.0 + np.sum(np.tanh(0.5 * td), axis=-1)
-        vals = vals + np.sum(g, axis=-1) / q0
-    return vals
-
-
-# --------------------------------------------------------------------------
 # criteria on a known kernel
 # --------------------------------------------------------------------------
+
+def _report(criterion: str, kernel, design: Design, model: str) -> CriterionReport:
+    kernel = _check_kernel(kernel)
+    model = _check_model(model)
+    _require_unit(design)
+    per, value = kern._interval_terms(kernel.theta, design.gap_array(), criterion, model)
+    s11 = kernel.sigma11
+    return CriterionReport(criterion, model, s11 * float(value), tuple((s11 * per).tolist()))
+
 
 def smspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> CriterionReport:
     """Supremum of the kriging MSPE over the unit interval.
@@ -226,39 +210,12 @@ def smspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> C
     increasing in the gap, so the criterion value is attained on (one
     of) the widest gap(s).
     """
-    kernel = _check_kernel(kernel)
-    model = _check_model(model)
-    _require_unit(design)
-    theta, s11 = kernel.theta, kernel.sigma11
-    gaps = design.gap_array()
-    td = theta * gaps
-    per = np.tanh(0.5 * td)
-    if model == "ordinary":
-        e = np.exp(-td)
-        u_sup = (1.0 - 2.0 * np.exp(-0.5 * td) / (1.0 + e)) ** 2
-        q0 = kern.ones_quadratic_form(design, theta)
-        per = per + u_sup / q0
-    per = s11 * per
-    return CriterionReport("smspe", model, float(per.max()), tuple(float(v) for v in per))
+    return _report("smspe", kernel, design, model)
 
 
 def imspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> CriterionReport:
     """Integral of the kriging MSPE over the unit interval."""
-    kernel = _check_kernel(kernel)
-    model = _check_model(model)
-    _require_unit(design)
-    theta, s11 = kernel.theta, kernel.sigma11
-    gaps = design.gap_array()
-    td = theta * gaps
-    u = np.exp(-2.0 * td)
-    per = gaps + 2.0 * gaps * u / (1.0 - u) - 1.0 / theta
-    if model == "ordinary":
-        e = np.exp(-td)
-        g = gaps + (3.0 * np.expm1(-2.0 * td) + 2.0 * td * e) / (theta * (1.0 + e) ** 2)
-        q0 = kern.ones_quadratic_form(design, theta)
-        per = per + g / q0
-    per = s11 * per
-    return CriterionReport("imspe", model, float(per.sum()), tuple(float(v) for v in per))
+    return _report("imspe", kernel, design, model)
 
 
 # --------------------------------------------------------------------------
@@ -284,21 +241,12 @@ def smspe_numeric(
         raise DomainError(
             f"need at least 64 grid points per interval, got {grid_points_per_interval}"
         )
-    theta, s11 = kernel.theta, kernel.sigma11
-    q0 = kern.ones_quadratic_form(design, theta)
-    best = 0.0
-    for d in design.gaps:
-        a = np.linspace(0.0, d, grid_points_per_interval)
-        a = np.append(a, 0.5 * d)
-        w = -np.expm1(-2.0 * theta * d)
-        s_quad = (np.exp(-2.0 * theta * a) - 2.0 * np.exp(-2.0 * theta * d)
-                  + np.exp(-2.0 * theta * (d - a))) / w
-        vals = s11 * (1.0 - s_quad)
-        if model == "ordinary":
-            t = (np.exp(-theta * a) + np.exp(-theta * (d - a))) / (1.0 + np.exp(-theta * d))
-            vals = vals + s11 * (1.0 - t) ** 2 / q0
-        best = max(best, float(vals.max()))
-    return best
+    offsets = np.append(np.linspace(0.0, 1.0, grid_points_per_interval), 0.5)[:, None]
+    x0 = design.points[:-1] + offsets * design.gap_array()
+    vals, cross = kern._pointwise(design, kernel.theta, x0)
+    if model == "ordinary":
+        vals = vals + cross**2 / kern.ones_quadratic_form(design, kernel.theta)
+    return kernel.sigma11 * float(vals.max())
 
 
 def imspe_numeric(
@@ -313,6 +261,8 @@ def imspe_numeric(
     each gap and kinked at the sites).  Raises ``NumericError`` if any
     panel fails to converge to ``tol``.
     """
+    from scipy import integrate
+
     from .predict import mspe_closed_form
 
     kernel = _check_kernel(kernel)
@@ -350,39 +300,76 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
-def _prior_average(prior: ThetaPrior, values_of_theta) -> float:
-    """Average ``values_of_theta(theta_array)`` over the prior.
-
-    Gauss-Legendre quadrature, doubling the node count until two
-    successive estimates agree to ``RISK_QUAD_TOL``.  A tabulated
-    density is only piecewise smooth, so the quadrature runs segment by
-    segment between its nodes; Gauss-Legendre stalls across kinks.
-    """
-    if prior.kind == "tabulated":
-        cuts = [p[0] for p in prior.nodes]
-    else:
-        cuts = list(prior.support)
-
-    total = 0.0
+@lru_cache(maxsize=64)
+def _prior_rule(prior: ThetaPrior, m: int):
+    """``m``-node Gauss-Legendre rates and density-weighted weights for each
+    segment between a tabulated density's nodes (it stalls across kinks)."""
+    cuts = [p[0] for p in prior.nodes] if prior.kind == "tabulated" else list(prior.support)
+    x, w = _leggauss(m)
+    rules = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
+        thetas = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        rules.append((thetas, 0.5 * (hi - lo) * w * prior.density(thetas)))
+    return rules
+
+
+def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str) -> float:
+    """Average the unit-variance criterion over the prior.
+
+    Gauss-Legendre quadrature on each segment of the prior, doubling the
+    node count until two successive estimates agree to
+    ``RISK_QUAD_TOL``.  The nodes are evaluated in blocks of at most
+    ``_RISK_QUAD_BLOCK`` terms.
+    """
+    block = max(1, _RISK_QUAD_BLOCK // gaps.size)
+    total = 0.0
+    for seg in range(len(_prior_rule(prior, RISK_QUAD_START))):
         m = RISK_QUAD_START
         prev = None
         while True:
-            x, w = _leggauss(m)
-            thetas = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            weights = 0.5 * (hi - lo) * w
-            est = float(np.sum(weights * values_of_theta(thetas) * prior.density(thetas)))
+            thetas, weights = _prior_rule(prior, m)[seg]
+            est = sum(float(weights[j:j + block] @ kern._interval_terms(
+                thetas[j:j + block], gaps, criterion, model, terms=False)[1])
+                for j in range(0, m, block))
             if prev is not None and abs(est - prev) < RISK_QUAD_TOL:
                 total += est
                 break
             if m >= RISK_QUAD_MAX:
                 raise NumericError(
                     f"risk quadrature did not stabilize to {RISK_QUAD_TOL} "
-                    f"within {RISK_QUAD_MAX} nodes on [{lo}, {hi}]"
+                    f"within {RISK_QUAD_MAX} nodes on segment {seg} of the prior"
                 )
             prev = est
             m *= 2
     return total
+
+
+def _log_cosh(y: float) -> float:
+    """``log cosh y`` for ``y >= 0``, without overflow or cancellation."""
+    if y < 1.0:
+        return math.log1p(2.0 * math.sinh(0.5 * y) ** 2)
+    return y - math.log(2.0) + math.log1p(math.exp(-2.0 * y))
+
+
+def _log_sinhc(x):
+    """``log(sinh x / x)`` for ``x > 0``, by its series below the cutoff."""
+    return kern._piecewise(x, x < kern._SERIES_CUTOFF, lambda: x + np.log(-np.expm1(-2.0 * x))
+                           - np.log(2.0 * x), _SINHC_SERIES, 2)
+
+
+def _risk(criterion: str, prior: ThetaPrior, gaps, model: str) -> float:
+    """Bayes risk on a unit-sum gap vector; also the optimizer's objective."""
+    if model == "simple" and prior.kind == "uniform":
+        t1, t2 = prior.theta1, prior.theta2
+        if criterion == "smspe":
+            d = float(gaps.max())
+            value = 2.0 * (_log_cosh(0.5 * t2 * d) - _log_cosh(0.5 * t1 * d)) / (d * (t2 - t1))
+        else:
+            s1, s2 = _log_sinhc(np.multiply.outer((t1, t2), gaps)).sum(axis=-1)
+            value = float(s2 - s1) / (t2 - t1)
+    else:
+        value = _prior_average(prior, criterion, gaps, model)
+    return prior.e_sigma11 * value
 
 
 def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
@@ -391,8 +378,7 @@ def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
     For the uniform prior and the simple model the theta-integral of
     ``tanh(theta d_max / 2)`` is ``log cosh``, giving the closed form
 
-        ``E_sigma * [1 + 2 (log1p(e^{-t2 d}) - log1p(e^{-t1 d}))
-                       / (d (t2 - t1))]``
+        ``E_sigma * 2 (log cosh(t2 d / 2) - log cosh(t1 d / 2)) / (d (t2 - t1))``
 
     with ``d`` the widest gap.  Everything else goes through the prior
     quadrature.
@@ -400,39 +386,24 @@ def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
     prior = _check_prior(prior)
     model = _check_model(model)
     _require_unit(design)
-    gaps = design.gap_array()
-    if model == "simple" and prior.kind == "uniform":
-        d = float(gaps.max())
-        t1, t2 = prior.theta1, prior.theta2
-        bracket = np.log1p(np.exp(-t2 * d)) - np.log1p(np.exp(-t1 * d))
-        return prior.e_sigma11 * (1.0 + 2.0 * bracket / (d * (t2 - t1)))
-    value = _prior_average(prior, lambda th: _smspe_values(th, gaps, model))
-    return prior.e_sigma11 * value
+    return _risk("smspe", prior, design.gap_array(), model)
 
 
 def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
     """Prior-averaged integrated criterion.
 
-    For the uniform prior and the simple model:
+    For the uniform prior and the simple model the theta-integral of
+    ``(x coth x - 1) / theta`` is ``log(sinh x / x)`` with ``x = theta d``:
 
-        ``E_sigma * [1 - (n-1) log(t2/t1) / (t2 - t1)
-                       + sum_i (log1p(-e^{-2 t2 d_i}) - log1p(-e^{-2 t1 d_i}))
-                         / (t2 - t1)]``.
+        ``E_sigma * sum_i (S(t2 d_i) - S(t1 d_i)) / (t2 - t1)``,
+        ``S(x) = log(sinh x / x)``.
 
     Everything else goes through the prior quadrature.
     """
     prior = _check_prior(prior)
     model = _check_model(model)
     _require_unit(design)
-    gaps = design.gap_array()
-    if model == "simple" and prior.kind == "uniform":
-        t1, t2 = prior.theta1, prior.theta2
-        span = t2 - t1
-        bracket = np.log1p(-np.exp(-2.0 * t2 * gaps)) - np.log1p(-np.exp(-2.0 * t1 * gaps))
-        value = 1.0 - gaps.size * np.log(t2 / t1) / span + float(np.sum(bracket)) / span
-        return prior.e_sigma11 * value
-    value = _prior_average(prior, lambda th: _imspe_values(th, gaps, model))
-    return prior.e_sigma11 * value
+    return _risk("imspe", prior, design.gap_array(), model)
 
 
 def relative_efficiency(reference_value: float, candidate_value: float) -> float:

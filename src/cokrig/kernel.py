@@ -9,9 +9,11 @@ closed forms in this module, so each routine returns exact expressions
 rather than output of a generic solver.
 
 Throughout, ``w(d) = 1 - exp(-2 * theta * d)`` is the conditional
-variance picked up over a gap of width ``d``.
+variance picked up over a gap of width ``d``.  The design criteria's
+per-interval terms and the pointwise error are written here once each.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,22 @@ from .exceptions import ConditioningError, DomainError, ExtrapolationError
 # Gaps with theta * d below this would make w(d) numerically
 # indistinguishable from zero; refuse to form the noisy inverse.
 MIN_THETA_GAP = 1e-10
+
+# Below this x = theta * d the integrated-error terms cancel, and their
+# Taylor series in x^2 take over; with ten terms both sides stay within
+# a few units in the last place.
+_SERIES_CUTOFF = 0.5
+
+# x coth x - 1 = sum_k _COTH_SERIES[k] x^(2k+2)
+_COTH_SERIES = np.array([1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+                         4 / 18243225, -3617 / 162820783125, 87734 / 38979295480125,
+                         -349222 / 1531329465290625])
+
+# x (3 - t^2) - 6 t with t = tanh(x / 2) is sum_k _G_SERIES[k] x^(2k+5)
+_G_SERIES = np.array([1 / 60, -17 / 5040, 31 / 60480, -691 / 9979200, 5461 / 622702080,
+                      -929569 / 871782912000, 3202291 / 25406244864000,
+                      -221930581 / 15205637551104000, 4722116521 / 2838385676206080000,
+                      -56963745931 / 304141373398646784000])
 
 
 @dataclass(frozen=True)
@@ -61,49 +79,11 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _check_gaps(design: Design, theta: float) -> np.ndarray:
-    gaps = design.gap_array()
-    if gaps.size and theta * gaps.min() < MIN_THETA_GAP:
-        raise ConditioningError(
-            f"theta * gap = {theta * gaps.min():.3e} below {MIN_THETA_GAP:.0e}; "
-            "sites are numerically coincident"
-        )
-    return gaps
-
-
 def corr_matrix(design: Design, theta: float) -> np.ndarray:
     """Dense correlation matrix ``P`` with ``P_ij = exp(-theta |x_i - x_j|)``."""
     theta = _check_theta(theta)
     pts = design.points
     return np.exp(-theta * np.abs(pts[:, None] - pts[None, :]))
-
-
-def ldl_factor(design: Design, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact unit-lower-triangular LDL' factorization of ``P``.
-
-    Returns
-    -------
-    L : ndarray, shape (n, n)
-        ``L_ij = exp(-theta * (x_i - x_j))`` for ``i >= j``, zero above
-        the diagonal.
-    D : ndarray, shape (n, n)
-        Diagonal matrix ``diag(1, w(d_1), ..., w(d_{n-1}))`` with
-        ``w(d) = 1 - exp(-2 theta d)``: the screening effect of the
-        nearest preceding site is total, so each pivot only sees one gap.
-
-    ``L @ D @ L.T`` reconstructs ``corr_matrix`` exactly, and the
-    log-determinant of ``P`` is the log-sum of ``D``'s diagonal.
-    """
-    theta = _check_theta(theta)
-    gaps = _check_gaps(design, theta)
-    pts = design.points
-    diff = pts[:, None] - pts[None, :]
-    L = np.tril(np.exp(-theta * np.maximum(diff, 0.0)))
-    d = np.empty(design.n)
-    d[0] = 1.0
-    if gaps.size:
-        d[1:] = -np.expm1(-2.0 * theta * gaps)
-    return L, np.diag(d)
 
 
 def precision_matrix(design: Design, theta: float) -> np.ndarray:
@@ -119,7 +99,12 @@ def precision_matrix(design: Design, theta: float) -> np.ndarray:
     ``MIN_THETA_GAP``.
     """
     theta = _check_theta(theta)
-    gaps = _check_gaps(design, theta)
+    gaps = design.gap_array()
+    if gaps.size and theta * gaps.min() < MIN_THETA_GAP:
+        raise ConditioningError(
+            f"theta * gap = {theta * gaps.min():.3e} below {MIN_THETA_GAP:.0e}; "
+            "sites are numerically coincident"
+        )
     n = design.n
     if n == 1:
         return np.array([[1.0]])
@@ -141,10 +126,109 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     criteria Schur-convex.
     """
     theta = _check_theta(theta)
-    gaps = design.gap_array()
-    if not gaps.size:
-        return 1.0
-    return 1.0 + float(np.sum(np.tanh(0.5 * theta * gaps)))
+    return 1.0 + float(np.sum(_interval_terms(theta, design.gap_array(), "smspe", "simple")[0]))
+
+
+def _piecewise(x, small, direct, coefs, power: int):
+    """``direct()`` where ``x >= _SERIES_CUTOFF``, and below it the series
+    ``sum_k coefs[k] x^(2k+power)`` by Horner's rule in ``x^2``; it sums as
+    many terms as double precision needs, each shrinking by at most
+    ``0.21 x^2``.  ``small`` is ``x < _SERIES_CUTOFF``.
+    """
+    every = small.all()
+    out = None if every else direct()
+    if not (every or small.any()):
+        return out
+    xs = x if every else x[small]
+    y = xs * xs
+    k = min(coefs.size, 1 + int(-17.0 / math.log10(max(0.21 * float(y.max()), 1e-300))))
+    acc = coefs[k - 1]
+    for c in coefs[:k - 1][::-1]:
+        acc = acc * y + c
+    acc = acc * (y if power == 2 else y * y * xs)
+    if every:
+        return acc
+    out[small] = acc
+    return out
+
+
+def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True):
+    """Unit-variance per-interval terms of a criterion, and its value.
+
+    The forms are those of the ``criteria`` module docstring; ``theta``
+    may be an array (terms ``theta.shape + gaps.shape``, value
+    ``theta.shape``).  ``x coth x - 1`` is ``x - 1 + q`` with ``q = 2 x
+    e^{-2x} / (1 - e^{-2x})``; as the gaps sum to one, the simple imspe
+    value is also ``1 - (k - sum q) / theta`` for ``k`` gaps, whose
+    design-independent part is exact, used once every ``theta >= k``
+    (some ``x >= 1`` then).  ``terms=False`` may return None for terms.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None]
+    x = theta * gaps
+    ordinary = model == "ordinary"
+    if ordinary or criterion == "smspe":
+        t = np.tanh(0.5 * x)
+    if ordinary:
+        q0 = 1.0 + t.sum(axis=-1, keepdims=True)
+    if criterion == "smspe":
+        if ordinary:
+            e = np.exp(-0.5 * x)
+            t = t + (t * t * (1.0 + e * e) / (1.0 + e) ** 2) ** 2 / q0
+        return t, t.max(axis=-1, initial=0.0)
+
+    def q():
+        m = -2.0 * x
+        return m * np.exp(m) / np.expm1(m)
+
+    rate, k = theta[..., 0], gaps.shape[-1]
+    split = rate.min() >= k
+    small = x < _SERIES_CUTOFF
+    per = None
+    if terms or not split:
+        per = _piecewise(x, small, lambda: x - 1.0 + q(), _COTH_SERIES, 2) / theta
+    value = 1.0 - (k - q().sum(axis=-1)) / rate if split else per.sum(axis=-1)
+    if ordinary:
+        g = _piecewise(x, small, lambda: x * (3.0 - t * t) - 6.0 * t, _G_SERIES, 5)
+        g /= 2.0 * theta * q0
+        per = None if per is None else per + g
+        value = value + g.sum(axis=-1)
+    return per, value
+
+
+def _bracket(design: Design, x0) -> np.ndarray:
+    """Targets clamped into ``[x_start, x_end]``; beyond round-off, ``ExtrapolationError``."""
+    x0 = np.asarray(x0, dtype=float)
+    slack = 1e-12 * max(1.0, abs(design.x_start), abs(design.x_end))
+    inside = (x0 >= design.x_start - slack) & (x0 <= design.x_end + slack)
+    if not inside.all():
+        raise ExtrapolationError(
+            f"target {x0[~inside].flat[0]} outside sampled interval "
+            f"[{design.x_start}, {design.x_end}]"
+        )
+    return np.minimum(np.maximum(x0, design.x_start), design.x_end)
+
+
+def _pointwise(design: Design, theta: float, x0) -> tuple[np.ndarray, np.ndarray]:
+    """``1 - sigma0' P^{-1} sigma0`` and ``1 - 1' P^{-1} sigma0`` at targets.
+
+    Both are products over the bracketing sites at distances ``a`` and
+    ``b`` (see ``predict.mspe_closed_form``), taken through ``expm1`` so
+    that neither cancels; both are exactly 0 at a site.
+    """
+    if design.n < 2:
+        raise DomainError("need at least two sites to bracket a target")
+    x0 = _bracket(design, x0)
+    pts = design.points
+    i = np.minimum(np.searchsorted(pts, x0, side="right") - 1, design.n - 2)
+    a, b, d = x0 - pts[i], pts[i + 1] - x0, pts[i + 1] - pts[i]
+    if np.any(theta * d < MIN_THETA_GAP):
+        raise ConditioningError(
+            f"theta * gap = {np.min(theta * d):.3e} below {MIN_THETA_GAP:.0e} "
+            "in a bracketing interval"
+        )
+    simple = np.expm1(-2.0 * theta * a) * np.expm1(-2.0 * theta * b) / -np.expm1(-2.0 * theta * d)
+    cross = np.expm1(-theta * a) * np.expm1(-theta * b) / (1.0 + np.exp(-theta * d))
+    return simple, cross
 
 
 def quad_forms_at(design: Design, theta: float, x0: float) -> tuple[float, float]:
@@ -170,27 +254,5 @@ def quad_forms_at(design: Design, theta: float, x0: float) -> tuple[float, float
         formulas do not extend beyond the sampled interval.
     """
     theta = _check_theta(theta)
-    if design.n < 2:
-        raise DomainError("need at least two sites to bracket a target")
-    x0 = float(x0)
-    slack = 1e-12 * max(1.0, abs(design.x_start), abs(design.x_end))
-    if not (design.x_start - slack <= x0 <= design.x_end + slack):
-        raise ExtrapolationError(
-            f"target {x0} outside sampled interval "
-            f"[{design.x_start}, {design.x_end}]"
-        )
-    x0 = min(max(x0, design.x_start), design.x_end)
-    pts = design.points
-    i = int(np.clip(np.searchsorted(pts, x0, side="right") - 1, 0, design.n - 2))
-    d = design.gaps[i]
-    if theta * d < MIN_THETA_GAP:
-        raise ConditioningError(
-            f"theta * gap = {theta * d:.3e} below {MIN_THETA_GAP:.0e} "
-            f"in interval {i}"
-        )
-    a = x0 - pts[i]
-    w = -np.expm1(-2.0 * theta * d)
-    s_quad = (np.exp(-2.0 * theta * a) - 2.0 * np.exp(-2.0 * theta * d)
-              + np.exp(-2.0 * theta * (d - a))) / w
-    ones_cross = (np.exp(-theta * a) + np.exp(-theta * (d - a))) / (1.0 + np.exp(-theta * d))
-    return float(s_quad), float(ones_cross)
+    simple, cross = _pointwise(design, theta, float(x0))
+    return 1.0 - float(simple), 1.0 - float(cross)

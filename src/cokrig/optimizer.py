@@ -21,6 +21,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import criteria as crit
+from . import kernel as kern
 from .criteria import ThetaPrior
 from .design import Design, equispaced
 from .exceptions import DomainError, ResourceError
@@ -86,8 +87,9 @@ class OptimizationResult:
     """Best design found, its criterion value, and convergence facts.
 
     ``gap_deviation`` is ``max_i |d_i - 1/(n-1)|``, the distance from
-    the equispaced design; ``converged`` records whether the winning
-    run's final simplex diameter fell below the problem tolerance.
+    the equispaced design; ``converged`` records whether SciPy reported
+    success for the winning run, i.e. it met the tolerance before the
+    iteration or evaluation cap.
     """
 
     design: Design
@@ -109,41 +111,21 @@ def evaluate_criterion(problem: OptimizationProblem, design: Design) -> float:
 
 
 def _gap_values_fn(problem: OptimizationProblem):
-    """Fast criterion evaluator on raw gap vectors (no Design objects).
-
-    Uses the vectorized closed forms directly; identical mathematics to
-    ``evaluate_criterion`` but cheap enough for the inner search loop.
-    """
-    model = problem.model
-    if problem.criterion in ("smspe", "imspe"):
-        theta, s11 = problem.kernel.theta, problem.kernel.sigma11
-        values = crit._smspe_values if problem.criterion == "smspe" else crit._imspe_values
-
-        def f(gaps: np.ndarray) -> float:
-            return s11 * float(values(theta, gaps, model))
-
-        return f
-
-    prior = problem.prior
-    values = crit._smspe_values if problem.criterion == "risk_smspe" else crit._imspe_values
-
-    def f(gaps: np.ndarray) -> float:
-        avg = crit._prior_average(prior, lambda th: values(th, gaps, model))
-        return prior.e_sigma11 * avg
-
-    return f
+    """Criterion value on a raw unit-sum gap vector: the public criteria's
+    own gap-level functions, closed forms included, minus their checks."""
+    criterion, model = problem.criterion, problem.model
+    if problem.prior is not None:
+        prior, base = problem.prior, criterion.removeprefix("risk_")
+        return lambda g: crit._risk(base, prior, g, model)
+    theta, s11 = problem.kernel.theta, problem.kernel.sigma11
+    return lambda g: s11 * float(kern._interval_terms(theta, g, criterion, model, terms=False)[1])
 
 
 def _softmax_gaps(u: np.ndarray) -> np.ndarray:
-    full = np.append(u, 0.0)
+    full = np.concatenate((u, (0.0,)))
     full -= full.max()
     e = np.exp(full)
     return e / e.sum()
-
-
-def _simplex_diameter(simplex: np.ndarray) -> float:
-    diffs = simplex[:, None, :] - simplex[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=-1)).max())
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
@@ -177,7 +159,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     starts = [np.zeros(dim)]
     starts += [rng.normal(0.0, 1.0, dim) for _ in range(N_STARTS - 1)]
 
-    best_u, best_val, best_diam = None, np.inf, np.inf
+    best_u, best_val, best_ok = None, np.inf, False
     options = dict(xatol=problem.tolerance, fatol=1e-13,
                    maxiter=problem.max_iters, maxfev=problem.max_iters)
     for u0 in starts:
@@ -185,16 +167,14 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         # fresh simplex around the found point; cheap insurance against
         # stagnation on the max-type criterion
         res = sciopt.minimize(objective, res.x, method="Nelder-Mead", options=options)
-        diam = _simplex_diameter(res.final_simplex[0])
         if res.fun < best_val:
-            best_u, best_val, best_diam = res.x, res.fun, diam
+            best_u, best_val, best_ok = res.x, res.fun, bool(res.success)
 
     gaps = _softmax_gaps(best_u)
     design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
     value = evaluate_criterion(problem, design)
     gap_dev = float(np.abs(gaps - 1.0 / (n - 1)).max())
-    return OptimizationResult(design, value, best_diam < problem.tolerance,
-                              gap_dev, evals)
+    return OptimizationResult(design, value, best_ok, gap_dev, evals)
 
 
 def _compositions(total: int, parts: int):

@@ -17,7 +17,7 @@ from scipy import linalg
 from . import kernel as kern
 from .covmodel import BivariateCovariance, Correlogram, build_cross_vector, build_joint_covariance
 from .design import Design
-from .exceptions import ConditioningError, DomainError, ExtrapolationError
+from .exceptions import ConditioningError, DomainError
 from .kernel import ExponentialKernel
 
 __all__ = [
@@ -66,16 +66,6 @@ class PredictionResult:
     weights: np.ndarray
 
 
-def _check_target(design: Design, x0: float) -> float:
-    x0 = float(x0)
-    slack = 1e-12 * max(1.0, abs(design.x_start), abs(design.x_end))
-    if not (design.x_start - slack <= x0 <= design.x_end + slack):
-        raise ExtrapolationError(
-            f"target {x0} outside sampled interval [{design.x_start}, {design.x_end}]"
-        )
-    return min(max(x0, design.x_start), design.x_end)
-
-
 def _cho_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         factor = linalg.cho_factor(matrix, lower=True)
@@ -110,30 +100,30 @@ def _check_obs_length(n_design: int, z: np.ndarray, what: str):
         raise DomainError(f"{what} has {z.size} entries for {n_design} sites")
 
 
-def mspe_closed_form(
-    kernel: ExponentialKernel, design: Design, x0: float, model: str = "simple"
-) -> float:
+def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str = "simple"):
     """Exact kriging MSPE at ``x0`` under the exponential kernel.
 
-    For a target inside interval ``i`` at offset ``a``, the simple-
-    kriging error is
+    For a target at distances ``a`` and ``b`` from the sites bracketing
+    it in interval ``i``, the simple-kriging error is
 
-        ``sigma11 * (1 - e^{-2 theta a}) * (1 - e^{-2 theta (d_i - a)}) / w(d_i)``
+        ``sigma11 * (1 - e^{-2 theta a}) * (1 - e^{-2 theta b}) / w(d_i)``
 
-    and the ordinary variant adds ``sigma11 * (1 - t)^2 / q0`` where
-    ``t`` is the ones/cross quadratic form at ``x0`` and ``q0 = 1'P^{-1}1``.
-    Zero exactly at the design sites, positive in between.
+    and the ordinary variant adds
+    ``sigma11 * [(1 - e^{-theta a}) (1 - e^{-theta b}) / (1 + e^{-theta d_i})]^2 / q0``,
+    the squared complement of the ones/cross quadratic form, with
+    ``q0 = 1'P^{-1}1``.  Zero exactly at the design sites, positive in
+    between.  ``x0`` may be an array of targets; the result then is an
+    array of the same shape, otherwise a float.
     """
     if not isinstance(kernel, ExponentialKernel):
         raise DomainError("closed-form errors require an ExponentialKernel")
     if model not in ("simple", "ordinary"):
         raise DomainError(f"model must be 'simple' or 'ordinary', got {model!r}")
-    s_quad, ones_cross = kern.quad_forms_at(design, kernel.theta, x0)
-    out = kernel.sigma11 * (1.0 - s_quad)
+    err, cross = kern._pointwise(design, kernel.theta, x0)
     if model == "ordinary":
-        q0 = kern.ones_quadratic_form(design, kernel.theta)
-        out += kernel.sigma11 * (1.0 - ones_cross) ** 2 / q0
-    return max(float(out), 0.0)
+        err = err + cross**2 / kern.ones_quadratic_form(design, kernel.theta)
+    err = kernel.sigma11 * err
+    return float(err) if err.ndim == 0 else err
 
 
 def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
@@ -146,7 +136,7 @@ def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     if not np.all(np.isfinite(z1)):
         raise DomainError("observations must be finite")
     _check_obs_length(design.n, z1, "z1")
-    x0 = _check_target(design, x0)
+    x0 = float(kern._bracket(design, x0))
     sigma11, corr, theta = _split_kernel(kernel)
     pts = design.points
     if theta is not None:
@@ -168,7 +158,7 @@ def ordinary_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     if not np.all(np.isfinite(z1)):
         raise DomainError("observations must be finite")
     _check_obs_length(design.n, z1, "z1")
-    x0 = _check_target(design, x0)
+    x0 = float(kern._bracket(design, x0))
     sigma11, corr, theta = _split_kernel(kernel)
     pts = design.points
     ones = np.ones(design.n)
@@ -203,7 +193,7 @@ def simple_cokrige(
     """
     if obs.n != design.n:
         raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
-    x0 = _check_target(design, x0)
+    x0 = float(kern._bracket(design, x0))
     sigma = build_joint_covariance(model, design)
     sigma0, sigma00 = build_cross_vector(model, design, x0)
     weights = _cho_solve(sigma, sigma0)
@@ -222,7 +212,7 @@ def ordinary_cokrige(
     """
     if obs.n != design.n:
         raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
-    x0 = _check_target(design, x0)
+    x0 = float(kern._bracket(design, x0))
     n = design.n
     sigma = build_joint_covariance(model, design)
     sigma0, sigma00 = build_cross_vector(model, design, x0)

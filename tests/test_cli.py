@@ -180,6 +180,14 @@ def test_optimize_output_roundtrips(capsys):
     assert "# converged = true" in out
 
 
+def test_optimize_reports_convergence_on_the_optimum(capsys):
+    out, err = run_ok(capsys, [
+        "optimize", "--criterion", "imspe", "--theta", str(THETA), "--n", "8",
+    ])
+    assert "# converged = true" in out
+    assert err == ""
+
+
 def test_optimize_with_prior(capsys):
     out, _ = run_ok(capsys, [
         "optimize", "--criterion", "risk_smspe",

@@ -1,6 +1,11 @@
 """Design criteria: closed forms vs numeric oracles, risks vs quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +328,36 @@ def test_relative_efficiency_basics():
         relative_efficiency(0.0, 1.0)
     with pytest.raises(DomainError):
         relative_efficiency(1.0, -2.0)
+
+
+# --------------------------------------------------------------------------
+# cost of the package itself
+# --------------------------------------------------------------------------
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the imspe_numeric oracle needs scipy.integrate; it loads it itself
+    import cokrig
+
+    src = str(Path(cokrig.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cokrig; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_risk_quadrature_memory_does_not_grow_with_sites():
+    # the ordinary risk at n = 1e5 used to hold every (node, gap) term at
+    # once, about 590 MB traced; blocks keep it to a few arrays of gaps
+    design = equispaced(10**5)
+    prior = ThetaPrior.uniform(12.12, 22.12)
+    tracemalloc.start()
+    try:
+        value = risk_imspe(prior, design, "ordinary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1e-4
+    assert peak < 100e6

@@ -12,7 +12,6 @@ from cokrig import (
     ExtrapolationError,
     corr_matrix,
     equispaced,
-    ldl_factor,
     ones_quadratic_form,
     precision_matrix,
     quad_forms_at,
@@ -74,33 +73,6 @@ def test_corr_matrix_matches_elementwise_formula(rng):
 def test_corr_matrix_rejects_bad_theta():
     with pytest.raises(DomainError):
         corr_matrix(equispaced(3), theta=0.0)
-
-
-# --------------------------------------------------------------------------
-# ldl_factor
-# --------------------------------------------------------------------------
-
-def test_ldl_two_point_diagonal():
-    _, d = ldl_factor(Design(0.0, 1.0, (1.0,)), theta=1.0)
-    np.testing.assert_allclose(np.diag(d), [1.0, 1.0 - math.exp(-2.0)], rtol=1e-15)
-
-
-def test_ldl_diagonal_tends_to_identity_at_large_theta():
-    design = Design(0.0, 1.0, (0.1, 0.25, 0.3, 0.35))
-    _, d = ldl_factor(design, theta=50.0)
-    np.testing.assert_allclose(np.diag(d), np.ones(5), atol=1e-4)
-
-
-def test_ldl_reconstructs_correlation(rng):
-    for _ in range(20):
-        design = random_unit_design(rng, 5)
-        theta = rng.uniform(0.1, 50.0)
-        l, d = ldl_factor(design, theta)
-        p = corr_matrix(design, theta)
-        assert np.max(np.abs(l @ d @ l.T - p)) <= 1e-12
-        # L is unit lower-triangular
-        np.testing.assert_allclose(np.diag(l), 1.0, atol=0)
-        assert np.max(np.abs(np.triu(l, 1))) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_optimum_is_equispaced_risk():
     assert res.value <= evaluate_criterion(problem, equispaced(3)) + 1e-9
 
 
+def test_paper_risk_optimum_on_17_sites():
+    # the paper's 17-site Bayes-risk search runs through the closed form
+    prior = ThetaPrior.uniform(12.12, 22.12)
+    problem = OptimizationProblem(17, "risk_imspe", prior=prior)
+    res = optimize(problem)
+    assert res.converged
+    assert res.gap_deviation < 1e-6
+    assert res.value == pytest.approx(
+        evaluate_criterion(problem, equispaced(17)), rel=1e-12)
+
+
 def test_optimum_with_tabulated_prior():
     tent = ThetaPrior.tabulated([15.12, 17.12, 19.12], [0.0, 0.5, 0.0])
     problem = OptimizationProblem(3, "risk_smspe", prior=tent)
