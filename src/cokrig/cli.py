@@ -8,8 +8,9 @@ Subcommands
     ``--spec`` config file.
 ``optimize``
     Search for the criterion-minimizing design; prints the gaps one
-    per line (a loadable design file) with the value, convergence flag
-    and deviation from equispaced as trailing ``#`` comments.
+    per line (a loadable design file) with the value, convergence flag,
+    optimality residual, reason for stopping and deviation from
+    equispaced as trailing ``#`` comments.
 ``efficiency``
     Ratio of the reference design's criterion value to a candidate's.
     The reference defaults to the equispaced design with the same
@@ -251,6 +252,8 @@ def _cmd_optimize(args) -> int:
         print(_fmt(gap))
     print(f"# value = {_fmt(result.value)}")
     print(f"# converged = {'true' if result.converged else 'false'}")
+    print(f"# residual = {_fmt(result.residual)}")
+    print(f"# stopped = {result.message}")
     print(f"# gap_deviation = {_fmt(result.gap_deviation)}")
     if not result.converged:
         print("warning: optimizer did not converge; result is best iterate",

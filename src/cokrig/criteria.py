@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.linalg import eigh_tridiagonal
 
 from . import kernel as kern
 from .design import Design
@@ -297,7 +299,21 @@ def _check_prior(prior) -> ThetaPrior:
 
 @lru_cache(maxsize=16)
 def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
+    """``numpy.polynomial.legendre.leggauss``, with the roots of its symmetric
+    tridiagonal companion (Jacobi) matrix found by ``eigh_tridiagonal``
+    (Golub-Welsch) instead of a dense eigensolver; the Newton step and the
+    weight formula are leggauss's own."""
+    k = np.arange(1.0, m)
+    x = eigh_tridiagonal(np.zeros(m), k / np.sqrt(4.0 * k * k - 1.0), eigvals_only=True)
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    df = legendre.legval(x, legendre.legder(c))
+    x = x - legendre.legval(x, c) / df
+    fm = legendre.legval(x, c[1:])
+    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = 0.5 * (w + w[::-1])
+    x = 0.5 * (x - x[::-1])
+    return x, w * (2.0 / w.sum())
 
 
 @lru_cache(maxsize=64)
@@ -313,25 +329,27 @@ def _prior_rule(prior: ThetaPrior, m: int):
     return rules
 
 
-def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str) -> float:
+def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
     """Average the unit-variance criterion over the prior.
 
     Gauss-Legendre quadrature on each segment of the prior, doubling the
     node count until two successive estimates agree to
     ``RISK_QUAD_TOL``.  The nodes are evaluated in blocks of at most
-    ``_RISK_QUAD_BLOCK`` terms.
+    ``_RISK_QUAD_BLOCK`` terms.  With ``terms=True`` the per-interval
+    terms are averaged instead, giving one average per gap.
     """
     block = max(1, _RISK_QUAD_BLOCK // gaps.size)
+    pick = 0 if terms else 1
     total = 0.0
     for seg in range(len(_prior_rule(prior, RISK_QUAD_START))):
         m = RISK_QUAD_START
         prev = None
         while True:
             thetas, weights = _prior_rule(prior, m)[seg]
-            est = sum(float(weights[j:j + block] @ kern._interval_terms(
-                thetas[j:j + block], gaps, criterion, model, terms=False)[1])
+            est = sum(weights[j:j + block] @ kern._interval_terms(
+                thetas[j:j + block], gaps, criterion, model, terms=terms)[pick]
                 for j in range(0, m, block))
-            if prev is not None and abs(est - prev) < RISK_QUAD_TOL:
+            if prev is not None and np.max(np.abs(est - prev)) < RISK_QUAD_TOL:
                 total += est
                 break
             if m >= RISK_QUAD_MAX:
@@ -341,7 +359,7 @@ def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str) -> float
                 )
             prev = est
             m *= 2
-    return total
+    return total if terms else float(total)
 
 
 def _log_cosh(y: float) -> float:

@@ -1,18 +1,24 @@
 """Search for criterion-minimizing designs on the unit interval.
 
-The gap vector is optimized through the log-ratio map
-``d_i = exp(u_i) / sum_j exp(u_j)`` with the last coordinate pinned to
-zero, so the simplex constraint disappears and the parametrization has
-no flat direction.  Eight deterministic Nelder-Mead starts are used
-(the equispaced design plus seven seeded random gap vectors); each run
-is restarted once from its own solution with a fresh simplex, which
-guards against stagnation on the nonsmooth supremum criterion.
+One SLSQP solve (Kraft 1988) runs directly on the gap vector: every gap
+is bounded to ``[_MIN_GAP, 1]`` and the gaps sum to one.  The integrated
+criteria (``imspe``, ``risk_imspe``) are smooth in the gaps and are
+minimized as they are, through the same closed forms or quadrature the
+public criteria use.  The supremum criteria (``smspe``, ``risk_smspe``)
+are the largest of per-interval terms and take the epigraph form:
+minimize ``t`` subject to ``t >= term_i(d)`` for every interval.
+Gradients are SciPy's finite differences.
 
-Because the equispaced design is one of the starts and Nelder-Mead
-never discards its best vertex, the returned value can never exceed
-the equispaced criterion value.  A small brute-force enumerator on a
-simplex grid is provided to confirm minimizers independently for
-``n <= 4``.
+The solve starts from one seeded gap vector that is not equispaced.  The
+equispaced design is evaluated as a candidate too and wins ties, so the
+returned value never exceeds the equispaced criterion value; where a
+criterion is flat to rounding along the simplex (large rates, few sites)
+that candidate decides.  Convergence is judged by an optimality residual
+(see ``OptimizationResult``), not by SciPy's success flag, which reports
+"Positive directional derivative for linesearch" at some exact optima.
+
+A small brute-force enumerator on a simplex grid is provided to confirm
+minimizers independently for ``n <= 4``.
 """
 
 from dataclasses import dataclass
@@ -23,7 +29,7 @@ from scipy import optimize as sciopt
 from . import criteria as crit
 from . import kernel as kern
 from .criteria import ThetaPrior
-from .design import Design, equispaced
+from .design import Design
 from .exceptions import DomainError, ResourceError
 from .kernel import ExponentialKernel
 
@@ -36,11 +42,20 @@ __all__ = [
 
 CRITERIA = ("smspe", "imspe", "risk_smspe", "risk_imspe")
 
-# Seed for the seven random Nelder-Mead starts; fixed so repeated runs
-# of the optimizer are bit-for-bit identical.
+# Seed for the solve's start; fixed so repeated runs of the optimizer are
+# bit-for-bit identical.
 OPTIMIZER_SEED = 20240601
 
-N_STARTS = 8
+# Lower bound on every gap during the solve.
+_MIN_GAP = 1e-12
+
+# SLSQP's stopping tolerance on the change of the scaled objective; this
+# small, the solve stops only when it can make no further progress.
+_FTOL = 1e-15
+
+# Relative step of the central differences behind the residual of the
+# integrated criteria.
+_RESIDUAL_STEP = 1e-6
 
 # Enumeration cap for brute_force_min.
 MAX_GRID_NODES = 10_000_000
@@ -52,7 +67,9 @@ class OptimizationProblem:
 
     ``smspe``/``imspe`` need ``kernel``; ``risk_smspe``/``risk_imspe``
     need ``prior``.  ``n`` is the number of sites of the candidate
-    designs (all on [0, 1]).
+    designs (all on [0, 1]).  ``tolerance`` bounds the optimality
+    residual of a converged result and ``max_iters`` caps the solve's
+    iterations.
     """
 
     n: int
@@ -87,9 +104,16 @@ class OptimizationResult:
     """Best design found, its criterion value, and convergence facts.
 
     ``gap_deviation`` is ``max_i |d_i - 1/(n-1)|``, the distance from
-    the equispaced design; ``converged`` records whether SciPy reported
-    success for the winning run, i.e. it met the tolerance before the
-    iteration or evaluation cap.
+    the equispaced design.  ``residual`` is the optimality residual at
+    the returned design: the spread (largest minus smallest) of the
+    per-interval quantities that are all equal at an interior optimum,
+    relative to the criterion value.  Those quantities are the partial
+    derivatives in the gaps for ``imspe``/``risk_imspe`` and the
+    per-interval terms for ``smspe``/``risk_smspe``; the residual is 0 at
+    the equispaced design by symmetry.  ``converged`` is ``residual <=
+    problem.tolerance``.  ``n_evaluations`` counts criterion (or
+    per-interval term) evaluations, and ``message`` says why the search
+    stopped, or that the equispaced candidate won.
     """
 
     design: Design
@@ -97,6 +121,8 @@ class OptimizationResult:
     converged: bool
     gap_deviation: float
     n_evaluations: int
+    residual: float
+    message: str
 
 
 def evaluate_criterion(problem: OptimizationProblem, design: Design) -> float:
@@ -121,60 +147,114 @@ def _gap_values_fn(problem: OptimizationProblem):
     return lambda g: s11 * float(kern._interval_terms(theta, g, criterion, model, terms=False)[1])
 
 
-def _softmax_gaps(u: np.ndarray) -> np.ndarray:
-    full = np.concatenate((u, (0.0,)))
-    full -= full.max()
-    e = np.exp(full)
-    return e / e.sum()
+def _objective(problem: OptimizationProblem):
+    """What the solve works on, and whether that is the per-interval terms
+    of a supremum criterion (the epigraph form; the criterion is their
+    maximum) rather than an integrated criterion's value.
+
+    For ``risk_smspe`` each term is averaged over the prior: every term
+    rises with its own gap at every rate, so the widest gap holds the
+    largest term at every rate, and the average of the maximum is the
+    maximum of the averages.
+    """
+    if not problem.criterion.endswith("smspe"):
+        return _gap_values_fn(problem), False
+    model = problem.model
+    if problem.prior is not None:
+        prior = problem.prior
+        return (lambda g: prior.e_sigma11
+                * crit._prior_average(prior, "smspe", g, model, terms=True)), True
+    theta, s11 = problem.kernel.theta, problem.kernel.sigma11
+    return (lambda g: s11 * kern._interval_terms(theta, g, "smspe", model)[0]), True
+
+
+def _solve(problem: OptimizationProblem, fn, epigraph: bool):
+    """One SLSQP solve on the gap vector from the seeded start.
+
+    ``fn`` is the criterion on a gap vector, or with ``epigraph`` its
+    per-interval terms.  Both are scaled by their value at the start, so
+    ``_FTOL`` acts on a relative change.  Returns the unit-sum gaps where
+    the solve stopped and SciPy's reason for stopping.
+    """
+    k = problem.n - 1
+    w = np.exp(np.random.default_rng(OPTIMIZER_SEED).normal(0.0, 1.0, k))
+    start = w / w.sum()
+    scale = 1.0 / float(np.max(fn(start)))
+    unit_sum = {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
+                "jac": lambda z: np.append(np.ones(k), np.zeros(z.size - k))}
+    bounds = [(_MIN_GAP, 1.0)] * k
+    options = dict(maxiter=problem.max_iters, ftol=_FTOL)
+    if epigraph:
+        # minimize t subject to t >= every scaled term
+        above = {"type": "ineq", "fun": lambda z: z[k] - scale * fn(z[:k])}
+        t_grad = np.eye(k + 1)[k]
+        res = sciopt.minimize(lambda z: z[k], np.append(start, 1.0), jac=lambda z: t_grad,
+                              method="SLSQP", bounds=bounds + [(None, None)],
+                              constraints=[unit_sum, above], options=options)
+    else:
+        res = sciopt.minimize(lambda g: scale * fn(g), start, method="SLSQP",
+                              bounds=bounds, constraints=[unit_sum], options=options)
+    gaps = res.x[:k]
+    return gaps / gaps.sum(), res.message
+
+
+def _residual(fn, epigraph: bool, gaps: np.ndarray) -> float:
+    """Relative spread of the per-interval quantities that are equal at an
+    interior optimum: the terms of a supremum criterion, or the partial
+    derivatives of an integrated one (central differences), each spread
+    taken relative to the criterion value."""
+    if epigraph:
+        parts = fn(gaps)
+        return float((parts.max() - parts.min()) / parts.max())
+    h = _RESIDUAL_STEP * gaps
+    parts = np.array([(fn(gaps + step) - fn(gaps - step)) / (2.0 * hi)
+                      for hi, step in zip(h, np.diag(h))])
+    return float((parts.max() - parts.min()) / fn(gaps))
+
+
+def _gap_deviation(gaps: np.ndarray) -> float:
+    return float(np.abs(gaps - 1.0 / gaps.size).max())
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
-    """Multi-start Nelder-Mead minimization of the design criterion.
+    """Minimize the design criterion with one SLSQP solve on the gap simplex.
 
-    Runs ``N_STARTS`` searches in the log-ratio coordinates (equispaced
-    start first, then seeded random starts), restarts each from its own
-    endpoint, and returns the best design found.  The reported value is
-    recomputed through the public criterion functions on the final
-    design.
+    Integrated criteria are minimized directly and supremum criteria in
+    their epigraph form (see the module docstring).  The equispaced
+    design is evaluated as a candidate too and is returned unless the
+    solve found a strictly lower value.  The reported value is recomputed
+    through the public criterion functions on the returned design.
     """
     n = problem.n
     if n == 2:
         design = Design(0.0, 1.0, (1.0,))
-        return OptimizationResult(design, evaluate_criterion(problem, design),
-                                  True, 0.0, 1)
+        return OptimizationResult(design, evaluate_criterion(problem, design), True, 0.0, 1,
+                                  0.0, "two sites have one design")
 
-    dim = n - 2
-    fast = _gap_values_fn(problem)
+    base, epigraph = _objective(problem)
     evals = 0
 
-    def objective(u: np.ndarray) -> float:
+    def fn(gaps):
         nonlocal evals
         evals += 1
-        gaps = _softmax_gaps(u)
-        if gaps.min() < 1e-14:
-            return 1e6 * (1.0 + float(np.abs(u).max()))
-        return fast(gaps)
+        return base(gaps)
 
-    rng = np.random.default_rng(OPTIMIZER_SEED)
-    starts = [np.zeros(dim)]
-    starts += [rng.normal(0.0, 1.0, dim) for _ in range(N_STARTS - 1)]
+    def value(gaps):
+        return float(np.max(fn(gaps)))
 
-    best_u, best_val, best_ok = None, np.inf, False
-    options = dict(xatol=problem.tolerance, fatol=1e-13,
-                   maxiter=problem.max_iters, maxfev=problem.max_iters)
-    for u0 in starts:
-        res = sciopt.minimize(objective, u0, method="Nelder-Mead", options=options)
-        # fresh simplex around the found point; cheap insurance against
-        # stagnation on the max-type criterion
-        res = sciopt.minimize(objective, res.x, method="Nelder-Mead", options=options)
-        if res.fun < best_val:
-            best_u, best_val, best_ok = res.x, res.fun, bool(res.success)
-
-    gaps = _softmax_gaps(best_u)
+    gaps, message = _solve(problem, fn, epigraph)
+    even = np.full(n - 1, 1.0 / (n - 1))
+    if not value(gaps) < value(even):
+        # every criterion here is symmetric in the gaps, so its per-interval
+        # quantities are all equal at the equispaced design
+        gaps, residual = even, 0.0
+        message = f"the equispaced candidate is no worse than the solve's end ({message})"
+    else:
+        residual = _residual(fn, epigraph, gaps)
     design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
-    value = evaluate_criterion(problem, design)
-    gap_dev = float(np.abs(gaps - 1.0 / (n - 1)).max())
-    return OptimizationResult(design, value, best_ok, gap_dev, evals)
+    return OptimizationResult(design, evaluate_criterion(problem, design),
+                              residual <= problem.tolerance, _gap_deviation(gaps), evals,
+                              residual, message)
 
 
 def _compositions(total: int, parts: int):
@@ -194,6 +274,8 @@ def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> O
     ``K = round(1/grid_step)``.  Only sensible for ``n <= 4``; the node
     count is capped at ``MAX_GRID_NODES``.  Ties break toward the
     lexicographically smallest gap vector, so results are deterministic.
+    The enumeration is exhaustive, so ``converged`` is always true;
+    ``residual`` is that of the grid minimum.
     """
     if problem.n > 4:
         raise DomainError(f"brute force enumeration is limited to n <= 4, got {problem.n}")
@@ -222,5 +304,6 @@ def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> O
     gaps = np.asarray(best_gaps, dtype=float) / K
     design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
     value = evaluate_criterion(problem, design)
-    gap_dev = float(np.abs(gaps - 1.0 / (problem.n - 1)).max())
-    return OptimizationResult(design, value, True, gap_dev, evals)
+    residual = _residual(*_objective(problem), gaps)
+    return OptimizationResult(design, value, True, _gap_deviation(gaps), evals, residual,
+                              f"exhaustive minimum over {evals} grid nodes")

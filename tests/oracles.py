@@ -120,3 +120,36 @@ def random_design_gaps(rng: np.random.Generator, n: int, min_gap: float = 0.02):
     assert k * min_gap < 1.0
     raw = rng.dirichlet(np.ones(k))
     return min_gap + (1.0 - k * min_gap) * raw
+
+
+def mp_prior_averaged_smspe_terms(rates, densities, gaps, model, dps=30):
+    """Each interval's unit-variance error supremum averaged over a
+    piecewise-linear prior density, by mpmath quadrature in the rate.
+
+    ``rates``/``densities`` are the density's nodes (a uniform prior is
+    two nodes of equal density); the supremum of interval ``i`` is
+    ``tanh(theta d_i / 2)``, plus ``(1 - sech(theta d_i / 2))^2 / q0`` with
+    ``q0 = 1 + sum_j tanh(theta d_j / 2)`` for the ordinary model.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        ds = [mp.mpf(float(d)) for d in gaps]
+        ts = [mp.mpf(float(t)) for t in rates]
+        rs = [mp.mpf(float(r)) for r in densities]
+
+        def term(i, theta):
+            v = mp.tanh(theta * ds[i] / 2)
+            if model == "ordinary":
+                q0 = 1 + mp.fsum(mp.tanh(theta * d / 2) for d in ds)
+                v += (1 - mp.sech(theta * ds[i] / 2)) ** 2 / q0
+            return v
+
+        out = []
+        for i in range(len(ds)):
+            total = mp.mpf(0)
+            for t0, t1, r0, r1 in zip(ts[:-1], ts[1:], rs[:-1], rs[1:]):
+                total += mp.quad(
+                    lambda t: term(i, t) * (r0 + (r1 - r0) * (t - t0) / (t1 - t0)), [t0, t1])
+            out.append(float(total))
+    return out

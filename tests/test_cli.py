@@ -188,6 +188,20 @@ def test_optimize_reports_convergence_on_the_optimum(capsys):
     assert err == ""
 
 
+def test_optimize_paper_risk_problem_on_17_sites(capsys):
+    out, err = run_ok(capsys, [
+        "optimize", "--criterion", "risk_smspe", "--model", "ordinary",
+        "--theta1", "12.12", "--theta2", "22.12", "--n", "17",
+    ])
+    assert "# converged = true" in out
+    assert err == ""
+    comments = dict(line[2:].split(" = ", 1) for line in out.splitlines()
+                    if line.startswith("# "))
+    assert float(comments["residual"]) <= 1e-7
+    assert comments["stopped"]
+    np.testing.assert_allclose(load_design_text(out).gaps, 1.0 / 16.0, atol=1e-6)
+
+
 def test_optimize_with_prior(capsys):
     out, _ = run_ok(capsys, [
         "optimize", "--criterion", "risk_smspe",

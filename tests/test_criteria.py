@@ -26,6 +26,7 @@ from cokrig import (
     smspe,
     smspe_numeric,
 )
+from cokrig import criteria as crit
 import oracles
 
 
@@ -238,6 +239,39 @@ def test_risks_match_independent_quadrature(rng, xi0):
                 got = risk_imspe(prior, design, model)
                 assert got == pytest.approx(
                     _risk_oracle(prior, design, model, "imspe"), abs=1e-7)
+
+
+@pytest.mark.parametrize("model", ["simple", "ordinary"])
+@pytest.mark.parametrize("kind", ["uniform", "tabulated"])
+def test_risk_smspe_is_the_largest_averaged_term(kind, model, rng):
+    # every term rises with its own gap at every rate, so the widest gap
+    # is the largest term at every rate and E max = max E; the optimizer's
+    # epigraph form rests on this
+    pytest.importorskip("mpmath")
+    if kind == "uniform":
+        rates, densities = (12.12, 22.12), (0.1, 0.1)
+        prior = ThetaPrior.uniform(*rates, e_sigma11=0.85)
+    else:
+        rates, densities = (15.12, 17.12, 19.12), (0.0, 0.5, 0.0)
+        prior = ThetaPrior.tabulated(rates, densities, e_sigma11=0.85)
+    for n in (3, 8, 17):
+        gaps = oracles.random_design_gaps(rng, n)
+        want = 0.85 * np.array(oracles.mp_prior_averaged_smspe_terms(rates, densities, gaps, model))
+        terms = prior.e_sigma11 * crit._prior_average(prior, "smspe", gaps, model, terms=True)
+        np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0.0)
+        got = risk_smspe(prior, Design(0.0, 1.0, tuple(gaps)), model)
+        assert got == pytest.approx(want.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [64, 512])
+def test_gauss_legendre_rule_matches_numpy(m):
+    x, w = crit._leggauss(m)
+    xn, wn = np.polynomial.legendre.leggauss(m)
+    np.testing.assert_allclose(x, xn, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, wn, rtol=1e-10, atol=0.0)
+    # exact for x^(2j) up to degree 2m - 2: the integral is 2 / (2j + 1)
+    for j in (0, 1, m // 2, m - 1):
+        assert w @ x ** (2 * j) == pytest.approx(2.0 / (2 * j + 1), rel=1e-12)
 
 
 def test_risk_values_on_benchmark_design(xi0):

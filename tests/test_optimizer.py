@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cokrig import optimizer as opt
 from cokrig import (
     Design,
     DomainError,
@@ -22,6 +23,23 @@ from cokrig import (
 
 KERN = ExponentialKernel(17.12, sigma11=0.85)
 PRIOR = ThetaPrior.uniform(15.12, 19.12)
+
+CRITERIA = ("smspe", "imspe", "risk_smspe", "risk_imspe")
+MODELS = ("simple", "ordinary")
+
+
+def _paper_problem(n, criterion, model):
+    """The benchmark's problems: rate 17.12, or uniform on [12.12, 22.12]."""
+    if criterion.startswith("risk_"):
+        return OptimizationProblem(n, criterion, model, prior=ThetaPrior.uniform(12.12, 22.12))
+    return OptimizationProblem(n, criterion, model, kernel=ExponentialKernel(17.12))
+
+
+def _solve_alone(problem):
+    """The SLSQP solve without the equispaced candidate: gaps and residual."""
+    fn, epigraph = opt._objective(problem)
+    gaps, _ = opt._solve(problem, fn, epigraph)
+    return gaps, opt._residual(fn, epigraph, gaps)
 
 
 # --------------------------------------------------------------------------
@@ -124,6 +142,60 @@ def test_optimize_never_beats_nothing(xi0):
         evaluate_criterion(problem, res.design), rel=1e-12)
     assert res.converged
     assert res.n_evaluations > 0
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_paper_problems_on_17_sites(criterion, model):
+    problem = _paper_problem(17, criterion, model)
+    res = optimize(problem)
+    assert res.n_evaluations <= 5000
+    assert res.gap_deviation <= 1e-6
+    assert res.converged
+    assert res.residual <= problem.tolerance
+
+
+@pytest.mark.parametrize("n,criterion,model",
+                         [(8, c, m) for c in CRITERIA for m in MODELS]
+                         + [(17, "smspe", "ordinary"), (17, "risk_imspe", "simple"),
+                            (50, "imspe", "ordinary"), (50, "smspe", "ordinary")])
+def test_solve_alone_lands_on_equispaced(n, criterion, model):
+    # from the seeded start, without the equispaced candidate's help
+    gaps, residual = _solve_alone(_paper_problem(n, criterion, model))
+    assert float(np.abs(gaps - 1.0 / (n - 1)).max()) <= 1e-6
+    assert residual <= 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_converged_where_scipy_may_report_failure(n):
+    # SciPy's SLSQP can stop with "Positive directional derivative for
+    # linesearch" on this exact optimum; the residual judges it instead
+    problem = OptimizationProblem(n, "smspe", "ordinary", kernel=ExponentialKernel(5.0))
+    res = optimize(problem)
+    assert res.converged
+    assert res.gap_deviation <= 1e-12
+    gaps, residual = _solve_alone(problem)
+    assert float(np.abs(gaps - 1.0 / (n - 1)).max()) <= 1e-12
+    assert residual <= problem.tolerance
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_residual_flags_a_design_off_the_optimum(criterion, model, xi0):
+    # the network design is far from optimal, and the residual says so
+    objective = opt._objective(_paper_problem(17, criterion, model))
+    assert opt._residual(*objective, xi0.gap_array()) > 1e-2
+    assert opt._residual(*objective, equispaced(17).gap_array()) <= 1e-9
+
+
+def test_result_explains_why_it_stopped():
+    problem = OptimizationProblem(6, "imspe", "ordinary", kernel=KERN)
+    res = optimize(problem)
+    assert res.message
+    assert res.converged == (res.residual <= problem.tolerance)
+    if res.gap_deviation == 0.0:
+        assert res.residual == 0.0
+        assert "equispaced candidate" in res.message
 
 
 def test_optimize_is_deterministic():
