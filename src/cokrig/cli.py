@@ -423,8 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=optimizer.CRITERIA, required=True)
     p.add_argument("--model", choices=criteria.MODELS, default="simple")
     p.add_argument("--n", type=int, required=True, help="number of design points")
-    p.add_argument("--tolerance", type=float, default=1e-7)
-    p.add_argument("--max-iters", type=int, default=20_000, dest="max_iters")
+    p.add_argument("--tolerance", type=float, default=1e-7,
+                   help="largest optimality residual reported as converged; imspe "
+                        "and risk_imspe searches also refine until it is met or "
+                        "stops improving (default 1e-7)")
+    p.add_argument("--max-iters", type=int, default=20_000, dest="max_iters",
+                   help="cap on the solver's iterations (default 20000)")
     _add_kernel_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=_cmd_optimize)

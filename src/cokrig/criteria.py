@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre
-from scipy.linalg import eigh_tridiagonal
 
 from . import kernel as kern
 from .design import Design
@@ -299,21 +297,7 @@ def _check_prior(prior) -> ThetaPrior:
 
 @lru_cache(maxsize=16)
 def _leggauss(m: int):
-    """``numpy.polynomial.legendre.leggauss``, with the roots of its symmetric
-    tridiagonal companion (Jacobi) matrix found by ``eigh_tridiagonal``
-    (Golub-Welsch) instead of a dense eigensolver; the Newton step and the
-    weight formula are leggauss's own."""
-    k = np.arange(1.0, m)
-    x = eigh_tridiagonal(np.zeros(m), k / np.sqrt(4.0 * k * k - 1.0), eigvals_only=True)
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    df = legendre.legval(x, legendre.legder(c))
-    x = x - legendre.legval(x, c) / df
-    fm = legendre.legval(x, c[1:])
-    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = 0.5 * (w + w[::-1])
-    x = 0.5 * (x - x[::-1])
-    return x, w * (2.0 / w.sum())
+    return np.polynomial.legendre.leggauss(m)
 
 
 @lru_cache(maxsize=64)

@@ -4,17 +4,19 @@ One SLSQP solve (Kraft 1988) runs directly on the gap vector: every gap
 is bounded to ``[_MIN_GAP, 1]`` and the gaps sum to one.  The integrated
 criteria (``imspe``, ``risk_imspe``) are smooth in the gaps and are
 minimized as they are, through the same closed forms or quadrature the
-public criteria use.  The supremum criteria (``smspe``, ``risk_smspe``)
-are the largest of per-interval terms and take the epigraph form:
-minimize ``t`` subject to ``t >= term_i(d)`` for every interval.
-Gradients are SciPy's finite differences.
+public criteria use, and the solve's end is polished by a few Newton
+steps toward equal partial derivatives.  The supremum criteria
+(``smspe``, ``risk_smspe``) are the largest of per-interval terms and
+take the epigraph form: minimize ``t`` subject to ``t >= term_i(d)`` for
+every interval.  Gradients are finite differences.
 
 The solve starts from one seeded gap vector that is not equispaced.  The
-equispaced design is evaluated as a candidate too and wins ties, so the
-returned value never exceeds the equispaced criterion value; where a
-criterion is flat to rounding along the simplex (large rates, few sites)
-that candidate decides.  Convergence is judged by an optimality residual
-(see ``OptimizationResult``), not by SciPy's success flag, which reports
+equispaced design is evaluated as a candidate too and wins ties, and
+near-ties within rounding, so the returned value never exceeds the
+equispaced criterion value; where a criterion is flat to rounding along
+the simplex (large rates, few sites) that candidate decides.
+Convergence is judged by an optimality residual (see
+``OptimizationResult``), not by SciPy's success flag, which reports
 "Positive directional derivative for linesearch" at some exact optima.
 
 A small brute-force enumerator on a simplex grid is provided to confirm
@@ -53,9 +55,17 @@ _MIN_GAP = 1e-12
 # small, the solve stops only when it can make no further progress.
 _FTOL = 1e-15
 
-# Relative step of the central differences behind the residual of the
-# integrated criteria.
-_RESIDUAL_STEP = 1e-6
+# Relative step of the central differences in the gaps of an integrated
+# criterion: about the cube root of machine epsilon balances rounding
+# against truncation for the first derivative.
+_DIFF_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# Most Newton steps _polish takes after the solve.
+_POLISH_STEPS = 4
+
+# The solve's end replaces the equispaced candidate only when its value is
+# lower by more than this relative margin, which rounding cannot produce.
+_TIE_MARGIN = 8.0 * float(np.finfo(float).eps)
 
 # Enumeration cap for brute_force_min.
 MAX_GRID_NODES = 10_000_000
@@ -68,8 +78,10 @@ class OptimizationProblem:
     ``smspe``/``imspe`` need ``kernel``; ``risk_smspe``/``risk_imspe``
     need ``prior``.  ``n`` is the number of sites of the candidate
     designs (all on [0, 1]).  ``tolerance`` bounds the optimality
-    residual of a converged result and ``max_iters`` caps the solve's
-    iterations.
+    residual (see ``OptimizationResult``) of a converged result; for
+    ``imspe``/``risk_imspe`` the solve's Newton polish also runs until the
+    residual is within it or stops falling, while the supremum criteria's
+    solve does not depend on it.  ``max_iters`` caps SLSQP's iterations.
     """
 
     n: int
@@ -173,8 +185,10 @@ def _solve(problem: OptimizationProblem, fn, epigraph: bool):
 
     ``fn`` is the criterion on a gap vector, or with ``epigraph`` its
     per-interval terms.  Both are scaled by their value at the start, so
-    ``_FTOL`` acts on a relative change.  Returns the unit-sum gaps where
-    the solve stopped and SciPy's reason for stopping.
+    ``_FTOL`` acts on a relative change.  An integrated criterion's end
+    is then polished (see ``_polish``).  Returns the unit-sum gaps where
+    the search stopped, their optimality residual and SciPy's reason for
+    stopping.
     """
     k = problem.n - 1
     w = np.exp(np.random.default_rng(OPTIMIZER_SEED).normal(0.0, 1.0, k))
@@ -191,25 +205,68 @@ def _solve(problem: OptimizationProblem, fn, epigraph: bool):
         res = sciopt.minimize(lambda z: z[k], np.append(start, 1.0), jac=lambda z: t_grad,
                               method="SLSQP", bounds=bounds + [(None, None)],
                               constraints=[unit_sum, above], options=options)
-    else:
-        res = sciopt.minimize(lambda g: scale * fn(g), start, method="SLSQP",
-                              bounds=bounds, constraints=[unit_sum], options=options)
-    gaps = res.x[:k]
-    return gaps / gaps.sum(), res.message
+        gaps = res.x[:k] / res.x[:k].sum()
+        return gaps, _residual(fn, True, gaps), res.message
+    res = sciopt.minimize(lambda g: scale * fn(g), start, method="SLSQP",
+                          bounds=bounds, constraints=[unit_sum], options=options)
+    gaps, residual = _polish(fn, res.x / res.x.sum(), problem.tolerance)
+    return gaps, residual, res.message
+
+
+def _derivatives(fn, gaps: np.ndarray):
+    """Value, partial derivatives and diagonal second derivatives of an
+    integrated criterion in the gaps, by central differences."""
+    h = _DIFF_STEP * gaps
+    f0 = fn(gaps)
+    up = np.array([fn(gaps + step) for step in np.diag(h)])
+    down = np.array([fn(gaps - step) for step in np.diag(h)])
+    return f0, (up - down) / (2.0 * h), (up - 2.0 * f0 + down) / (h * h)
+
+
+def _polish(fn, gaps: np.ndarray, tolerance: float):
+    """Newton steps on the optimality condition of an integrated criterion.
+
+    SLSQP stops on the objective's change, and a smooth minimum is flat
+    to rounding within about the square root of machine epsilon of its
+    minimizer, so the solve ends with residuals near 1e-7 from n = 17 on.
+    The partial derivatives still resolve the minimizer there: each step
+    moves the gaps toward equal partial derivatives with the diagonal of
+    the Hessian, keeping the unit sum.  Steps stop once the residual is
+    at most ``tolerance``, stops falling, or after ``_POLISH_STEPS``.
+    Returns the gaps and their residual.
+    """
+    f0, grad, curv = _derivatives(fn, gaps)
+    residual = _spread(grad, f0)
+    for _ in range(_POLISH_STEPS):
+        if residual <= tolerance or not np.all(curv > 0):
+            break
+        lam = np.sum(grad / curv) / np.sum(1.0 / curv)
+        trial = gaps - (grad - lam) / curv
+        if not np.all(trial >= _MIN_GAP):
+            break
+        trial = trial / trial.sum()
+        f1, grad1, curv1 = _derivatives(fn, trial)
+        trial_residual = _spread(grad1, f1)
+        if not trial_residual < residual:
+            break
+        gaps, residual, grad, curv = trial, trial_residual, grad1, curv1
+    return gaps, residual
+
+
+def _spread(parts: np.ndarray, value: float) -> float:
+    return float((parts.max() - parts.min()) / value)
 
 
 def _residual(fn, epigraph: bool, gaps: np.ndarray) -> float:
     """Relative spread of the per-interval quantities that are equal at an
     interior optimum: the terms of a supremum criterion, or the partial
-    derivatives of an integrated one (central differences), each spread
-    taken relative to the criterion value."""
+    derivatives of an integrated one, each spread taken relative to the
+    criterion value."""
     if epigraph:
         parts = fn(gaps)
-        return float((parts.max() - parts.min()) / parts.max())
-    h = _RESIDUAL_STEP * gaps
-    parts = np.array([(fn(gaps + step) - fn(gaps - step)) / (2.0 * hi)
-                      for hi, step in zip(h, np.diag(h))])
-    return float((parts.max() - parts.min()) / fn(gaps))
+        return _spread(parts, parts.max())
+    f0, grad, _ = _derivatives(fn, gaps)
+    return _spread(grad, f0)
 
 
 def _gap_deviation(gaps: np.ndarray) -> float:
@@ -222,7 +279,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     Integrated criteria are minimized directly and supremum criteria in
     their epigraph form (see the module docstring).  The equispaced
     design is evaluated as a candidate too and is returned unless the
-    solve found a strictly lower value.  The reported value is recomputed
+    solve found a value lower by more than rounding.  The reported value is recomputed
     through the public criterion functions on the returned design.
     """
     n = problem.n
@@ -242,15 +299,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     def value(gaps):
         return float(np.max(fn(gaps)))
 
-    gaps, message = _solve(problem, fn, epigraph)
+    gaps, residual, message = _solve(problem, fn, epigraph)
     even = np.full(n - 1, 1.0 / (n - 1))
-    if not value(gaps) < value(even):
+    if not value(gaps) < value(even) * (1.0 - _TIE_MARGIN):
         # every criterion here is symmetric in the gaps, so its per-interval
         # quantities are all equal at the equispaced design
         gaps, residual = even, 0.0
         message = f"the equispaced candidate is no worse than the solve's end ({message})"
-    else:
-        residual = _residual(fn, epigraph, gaps)
     design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
     return OptimizationResult(design, evaluate_criterion(problem, design),
                               residual <= problem.tolerance, _gap_deviation(gaps), evals,
@@ -275,7 +330,7 @@ def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> O
     count is capped at ``MAX_GRID_NODES``.  Ties break toward the
     lexicographically smallest gap vector, so results are deterministic.
     The enumeration is exhaustive, so ``converged`` is always true;
-    ``residual`` is that of the grid minimum.
+    ``residual`` is not computed and reads NaN.
     """
     if problem.n > 4:
         raise DomainError(f"brute force enumeration is limited to n <= 4, got {problem.n}")
@@ -304,6 +359,5 @@ def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> O
     gaps = np.asarray(best_gaps, dtype=float) / K
     design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
     value = evaluate_criterion(problem, design)
-    residual = _residual(*_objective(problem), gaps)
-    return OptimizationResult(design, value, True, _gap_deviation(gaps), evals, residual,
+    return OptimizationResult(design, value, True, _gap_deviation(gaps), evals, float("nan"),
                               f"exhaustive minimum over {evals} grid nodes")

@@ -202,6 +202,22 @@ def test_optimize_paper_risk_problem_on_17_sites(capsys):
     np.testing.assert_allclose(load_design_text(out).gaps, 1.0 / 16.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("tolerance", ["1e-7", "1e-12"])
+def test_optimize_tolerance_bounds_the_reported_residual(capsys, tolerance):
+    # --tolerance is the largest residual reported as converged; a tighter
+    # one makes the imspe search refine further but finds the same design
+    out, err = run_ok(capsys, [
+        "optimize", "--criterion", "imspe", "--model", "ordinary",
+        "--theta", str(THETA), "--n", "17", "--tolerance", tolerance,
+    ])
+    comments = dict(line[2:].split(" = ", 1) for line in out.splitlines()
+                    if line.startswith("# "))
+    assert float(comments["residual"]) <= float(tolerance)
+    assert comments["converged"] == "true"
+    assert err == ""
+    np.testing.assert_allclose(load_design_text(out).gaps, 1.0 / 16.0, atol=1e-9)
+
+
 def test_optimize_with_prior(capsys):
     out, _ = run_ok(capsys, [
         "optimize", "--criterion", "risk_smspe",

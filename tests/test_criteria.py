@@ -263,17 +263,6 @@ def test_risk_smspe_is_the_largest_averaged_term(kind, model, rng):
         assert got == pytest.approx(want.max(), rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [64, 512])
-def test_gauss_legendre_rule_matches_numpy(m):
-    x, w = crit._leggauss(m)
-    xn, wn = np.polynomial.legendre.leggauss(m)
-    np.testing.assert_allclose(x, xn, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(w, wn, rtol=1e-10, atol=0.0)
-    # exact for x^(2j) up to degree 2m - 2: the integral is 2 / (2j + 1)
-    for j in (0, 1, m // 2, m - 1):
-        assert w @ x ** (2 * j) == pytest.approx(2.0 / (2 * j + 1), rel=1e-12)
-
-
 def test_risk_values_on_benchmark_design(xi0):
     # anchors computed with scipy.integrate.quad to 1e-13; the closed
     # forms must land on them

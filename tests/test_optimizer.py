@@ -1,5 +1,7 @@
 """Design optimization: validation, dispatch, convergence to equispaced."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,10 @@ def _paper_problem(n, criterion, model):
 
 
 def _solve_alone(problem):
-    """The SLSQP solve without the equispaced candidate: gaps and residual."""
+    """The solve without the equispaced candidate: its gaps and their
+    residual, recomputed here rather than taken from the solve."""
     fn, epigraph = opt._objective(problem)
-    gaps, _ = opt._solve(problem, fn, epigraph)
+    gaps, _, _ = opt._solve(problem, fn, epigraph)
     return gaps, opt._residual(fn, epigraph, gaps)
 
 
@@ -153,17 +156,35 @@ def test_paper_problems_on_17_sites(criterion, model):
     assert res.gap_deviation <= 1e-6
     assert res.converged
     assert res.residual <= problem.tolerance
+    assert res.message
 
 
 @pytest.mark.parametrize("n,criterion,model",
                          [(8, c, m) for c in CRITERIA for m in MODELS]
-                         + [(17, "smspe", "ordinary"), (17, "risk_imspe", "simple"),
+                         + [(17, "smspe", "ordinary"), (17, "imspe", "simple"),
+                            (17, "imspe", "ordinary"), (17, "risk_imspe", "simple"),
                             (50, "imspe", "ordinary"), (50, "smspe", "ordinary")])
 def test_solve_alone_lands_on_equispaced(n, criterion, model):
     # from the seeded start, without the equispaced candidate's help
-    gaps, residual = _solve_alone(_paper_problem(n, criterion, model))
+    problem = _paper_problem(n, criterion, model)
+    gaps, residual = _solve_alone(problem)
     assert float(np.abs(gaps - 1.0 / (n - 1)).max()) <= 1e-6
-    assert residual <= 1e-6
+    assert residual <= problem.tolerance
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("criterion", ["imspe", "risk_imspe"])
+def test_tolerance_steers_the_polish(criterion, model):
+    # SLSQP alone ends these near a residual of 1e-7; the Newton polish
+    # goes on to a tighter tolerance when one is asked for
+    loose = _paper_problem(17, criterion, model)
+    tight = dataclasses.replace(loose, tolerance=1e-9)
+    fn, _ = opt._objective(loose)
+    _, loose_residual, _ = opt._solve(loose, fn, False)
+    gaps, tight_residual, _ = opt._solve(tight, fn, False)
+    assert loose_residual <= 1e-7
+    assert tight_residual <= 1e-9
+    assert opt._residual(fn, False, gaps) == tight_residual
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -186,16 +207,6 @@ def test_residual_flags_a_design_off_the_optimum(criterion, model, xi0):
     objective = opt._objective(_paper_problem(17, criterion, model))
     assert opt._residual(*objective, xi0.gap_array()) > 1e-2
     assert opt._residual(*objective, equispaced(17).gap_array()) <= 1e-9
-
-
-def test_result_explains_why_it_stopped():
-    problem = OptimizationProblem(6, "imspe", "ordinary", kernel=KERN)
-    res = optimize(problem)
-    assert res.message
-    assert res.converged == (res.residual <= problem.tolerance)
-    if res.gap_deviation == 0.0:
-        assert res.residual == 0.0
-        assert "equispaced candidate" in res.message
 
 
 def test_optimize_is_deterministic():
