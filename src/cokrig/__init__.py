@@ -68,7 +68,6 @@ from .exceptions import (
 )
 from .kernel import (
     ExponentialKernel,
-    corr_matrix,
     ones_quadratic_form,
     precision_matrix,
     quad_forms_at,
@@ -109,7 +108,7 @@ __all__ = [
     # design
     "Design", "equispaced", "rescale", "majorization_perturb",
     # kernel
-    "ExponentialKernel", "corr_matrix", "precision_matrix",
+    "ExponentialKernel", "precision_matrix",
     "ones_quadratic_form", "quad_forms_at",
     # covariance models
     "Correlogram", "ExponentialCorrelogram", "SquaredExponentialCorrelogram",

@@ -171,7 +171,9 @@ def _kernel_from_args(args) -> ExponentialKernel:
     if spec_path is not None:
         if args.theta is not None:
             raise ParseError("--spec and --theta are mutually exclusive")
-        return kernel_from_model(covmodel.parse_config(_read_text(spec_path)))
+        model = covmodel.parse_config(_read_text(spec_path))
+        covmodel._require_valid(model)
+        return kernel_from_model(model)
     if args.theta is None:
         raise ParseError("provide either --theta or --spec FILE")
     return ExponentialKernel(args.theta, args.sigma11)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .exceptions import DomainError, ParseError
+from .exceptions import DomainError, ParseError, ValidationError
 
 __all__ = [
     "Correlogram",
@@ -640,6 +640,13 @@ def build_cross_vector(
 def validate(model: BivariateCovariance) -> ValidityReport:
     """Full validity check for the family; see :class:`ValidityReport`."""
     return model.validity()
+
+
+def _require_valid(model: BivariateCovariance) -> None:
+    """Raise ``ValidationError`` naming every violation of the family's rules."""
+    violations = model.validity().violations
+    if violations:
+        raise ValidationError(f"invalid {model.family} model: " + "; ".join(violations))
 
 
 def reduction_applies(model: BivariateCovariance) -> tuple[bool, float | None]:

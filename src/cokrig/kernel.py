@@ -79,13 +79,6 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def corr_matrix(design: Design, theta: float) -> np.ndarray:
-    """Dense correlation matrix ``P`` with ``P_ij = exp(-theta |x_i - x_j|)``."""
-    theta = _check_theta(theta)
-    pts = design.points
-    return np.exp(-theta * np.abs(pts[:, None] - pts[None, :]))
-
-
 def precision_matrix(design: Design, theta: float) -> np.ndarray:
     """Tridiagonal inverse of the exponential correlation matrix.
 

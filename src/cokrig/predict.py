@@ -15,7 +15,8 @@ import numpy as np
 from scipy import linalg
 
 from . import kernel as kern
-from .covmodel import BivariateCovariance, Correlogram, build_cross_vector, build_joint_covariance
+from .covmodel import (BivariateCovariance, Correlogram, _require_valid, build_cross_vector,
+                       build_joint_covariance)
 from .design import Design
 from .exceptions import ConditioningError, DomainError
 from .kernel import ExponentialKernel
@@ -182,6 +183,15 @@ def ordinary_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     return PredictionResult(float(weights @ z1), mspe, weights)
 
 
+def _cokriging_system(model, design: Design, obs: ObservationVector, x0: float):
+    """Joint covariance, cross-covariance vector and target variance of a valid model."""
+    _require_valid(model)
+    if obs.n != design.n:
+        raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
+    x0 = float(kern._bracket(design, x0))
+    return (build_joint_covariance(model, design), *build_cross_vector(model, design, x0))
+
+
 def simple_cokrige(
     model: BivariateCovariance, design: Design, obs: ObservationVector, x0: float
 ) -> PredictionResult:
@@ -189,13 +199,10 @@ def simple_cokrige(
 
     Solves the full ``2n`` system with the joint covariance of the
     stacked observations; the weight vector carries primary weights
-    first, secondary weights last.
+    first, secondary weights last.  An invalid model raises
+    ``ValidationError`` before any solve.
     """
-    if obs.n != design.n:
-        raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
-    x0 = float(kern._bracket(design, x0))
-    sigma = build_joint_covariance(model, design)
-    sigma0, sigma00 = build_cross_vector(model, design, x0)
+    sigma, sigma0, sigma00 = _cokriging_system(model, design, obs, x0)
     weights = _cho_solve(sigma, sigma0)
     mspe = max(float(sigma00 - sigma0 @ weights), 0.0)
     return PredictionResult(float(weights @ obs.stacked()), mspe, weights)
@@ -210,12 +217,8 @@ def ordinary_cokrige(
     one and the secondary weights to sum to zero; the returned MSPE
     includes the penalty for estimating the two means.
     """
-    if obs.n != design.n:
-        raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
-    x0 = float(kern._bracket(design, x0))
+    sigma, sigma0, sigma00 = _cokriging_system(model, design, obs, x0)
     n = design.n
-    sigma = build_joint_covariance(model, design)
-    sigma0, sigma00 = build_cross_vector(model, design, x0)
     drift = np.zeros((2 * n, 2))
     drift[:n, 0] = 1.0
     drift[n:, 1] = 1.0

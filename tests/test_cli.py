@@ -101,6 +101,18 @@ def test_evaluate_from_config(capsys, tmp_path):
     assert float(out) == pytest.approx(S11 * math.tanh(THETA / 32.0), rel=1e-12)
 
 
+def test_evaluate_refuses_an_invalid_config(capsys, tmp_path):
+    # residual variance 1 - 0.6^2 * 4 < 0: not a covariance model
+    spec = tmp_path / "m.cfg"
+    spec.write_text(format_config(GeneralizedMarkov(
+        4.0, 1.0, 0.6, ExponentialCorrelogram(THETA), NuggetCorrelogram())))
+    code = run_command(["evaluate", "--criterion", "smspe", "--n", "17",
+                        "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "residual variance" in err
+
+
 def test_config_without_exponential_primary(capsys, tmp_path):
     spec = tmp_path / "m.cfg"
     spec.write_text(

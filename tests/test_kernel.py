@@ -10,7 +10,6 @@ from cokrig import (
     DomainError,
     ExponentialKernel,
     ExtrapolationError,
-    corr_matrix,
     equispaced,
     ones_quadratic_form,
     precision_matrix,
@@ -44,35 +43,6 @@ def test_kernel_corr_and_cov():
     assert math.isclose(k.cov(0.5), 3.0 * math.exp(-1.0))
     # distance enters through its absolute value
     assert k.corr(-1.0) == k.corr(1.0)
-
-
-# --------------------------------------------------------------------------
-# corr_matrix
-# --------------------------------------------------------------------------
-
-def test_corr_matrix_single_point():
-    assert corr_matrix(Design.single(0.3), theta=2.0).tolist() == [[1.0]]
-
-
-def test_corr_matrix_two_points_half():
-    m = corr_matrix(Design(0.0, 1.0, (1.0,)), theta=math.log(2.0))
-    assert math.isclose(m[0, 1], 0.5, rel_tol=1e-15)
-    assert m[0, 0] == 1.0 and m[1, 1] == 1.0
-
-
-def test_corr_matrix_matches_elementwise_formula(rng):
-    d = random_unit_design(rng, 4)
-    m = corr_matrix(d, theta=3.0)
-    pts = d.points
-    for i in range(4):
-        for j in range(4):
-            expected = math.exp(-3.0 * abs(pts[i] - pts[j]))
-            assert abs(m[i, j] - expected) <= 1e-15
-
-
-def test_corr_matrix_rejects_bad_theta():
-    with pytest.raises(DomainError):
-        corr_matrix(equispaced(3), theta=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +88,7 @@ def test_corr_pd_and_precision_identity_across_theta_range(rng):
         n = int(rng.integers(2, 51))
         design = random_unit_design(rng, n)
         theta = rng.uniform(0.1, 50.0)
-        p = corr_matrix(design, theta)
+        p = oracles.dense_corr(design.points, theta)
         np.linalg.cholesky(p)  # PD or raises
         prod = precision_matrix(design, theta) @ p
         assert np.max(np.abs(prod - np.eye(n))) <= 1e-9

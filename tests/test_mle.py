@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from cokrig import (
+    ConditioningError,
     Design,
     DomainError,
     ExponentialCorrelogram,
@@ -127,3 +129,97 @@ def test_validation_errors(xi0):
         simulate_observations(xi0, **TRUTH, replicates=0)
     with pytest.raises(DomainError, match="standardize"):
         fit_mle(equispaced(5), np.ones(5), np.arange(5.0))
+
+
+def test_simulate_applies_the_dense_cholesky_factor():
+    # the AR(1) recursion must give the draws that the Cholesky factor of
+    # the dense correlation matrix gives from the same seed
+    rng = np.random.default_rng(5)
+    gaps = rng.uniform(0.5, 1.5, 199)
+    design = Design(0.0, 1.0, tuple(gaps / gaps.sum()))
+    z1, z2 = simulate_observations(design, **TRUTH, replicates=3, seed=17)
+    draws = np.random.default_rng(17)
+    chol = np.linalg.cholesky(oracles.dense_corr(design.points, TRUTH["theta"]))
+    want1 = np.sqrt(TRUTH["sigma11"]) * draws.standard_normal((3, design.n)) @ chol.T
+    tau = TRUTH["sigma22"] - TRUTH["rho"] ** 2 * TRUTH["sigma11"]
+    want2 = TRUTH["rho"] * want1 + np.sqrt(tau) * draws.standard_normal((3, design.n))
+    np.testing.assert_allclose(z1, want1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(z2, want2, rtol=0, atol=1e-12)
+
+
+def test_loglikelihood_refuses_coincident_sites():
+    design = Design(0.0, 1.0, (1e-11, 0.5, 0.5 - 1e-11))
+    z = np.zeros(4)
+    with pytest.raises(ConditioningError):
+        loglikelihood(design, z, z, theta=1.0, sigma11=1.0, sigma22=1.0, rho=0.0)
+
+
+def _log_gradient(design, z1, z2, params, which=range(4), step=1e-5):
+    """Central differences of ``dense_loglik`` in the log of each parameter."""
+    out = []
+    for i in which:
+        up, down = list(params), list(params)
+        up[i] *= 1.0 + step
+        down[i] *= 1.0 - step
+        out.append((dense_loglik(design, z1, z2, *up)
+                    - dense_loglik(design, z1, z2, *down)) / (2.0 * step))
+    return np.array(out)
+
+
+def _transect(sites, seed):
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, sites - 1)
+    return Design(0.0, 1.0, tuple(gaps / gaps.sum()))
+
+
+@pytest.mark.parametrize("sites, replicates", [(17, 200), (300, 1)])
+def test_fit_is_a_stationary_point_of_the_dense_likelihood(xi0, sites, replicates):
+    design = xi0 if sites == 17 else _transect(sites, seed=300)
+    z1, z2 = simulate_observations(design, **TRUTH, replicates=replicates, seed=300)
+    fit = fit_mle(design, z1, z2, standardize=False)
+    assert fit.converged
+    params = [fit.theta_hat, fit.sigma11_hat, fit.sigma22_hat, fit.rho_hat]
+    assert fit.loglik == pytest.approx(dense_loglik(design, z1, z2, *params), rel=1e-12)
+    # the score in every log-parameter vanishes at the maximum (measured
+    # at most 4e-5) ...
+    assert np.max(np.abs(_log_gradient(design, z1, z2, params))) <= 1e-3
+    # ... and not 1% away from it in theta (measured 1.4 and 7.1)
+    params[0] *= 1.01
+    assert abs(_log_gradient(design, z1, z2, params, which=[0])[0]) > 1e-1
+
+
+def test_fit_flags_a_profile_that_peaks_at_the_bracket_edge():
+    design = equispaced(17)
+    rng = np.random.default_rng(2)
+    # white noise whose neighbours correlate negatively: theta runs to
+    # the top of the bracket, where the nearest sites are e^-20 apart
+    noise = fit_mle(design, rng.standard_normal((3, 17)), rng.standard_normal((3, 17)))
+    assert not noise.converged
+    assert noise.theta_hat == pytest.approx(20.0 * 16, rel=1e-5)
+    # a constant up to tiny noise: theta runs to the bottom, where it
+    # spans the transect at 1e-2
+    flat = 1.0 + 1e-6 * rng.standard_normal((1, 17))
+    const = fit_mle(design, flat, rng.standard_normal((1, 17)), standardize=False)
+    assert not const.converged
+    assert const.theta_hat == pytest.approx(1e-2, rel=1e-5)
+
+
+def test_fit_keeps_the_slope_inside_the_family():
+    # unstandardized data with slope 2.5: the likelihood rises toward
+    # |rho| = 1, the family's boundary, so the fit stops just inside it
+    # and is not converged
+    design = equispaced(17)
+    z1, z2 = simulate_observations(design, theta=17.12, sigma11=1.0, sigma22=9.0,
+                                   rho=2.5, replicates=50, seed=3)
+    fit = fit_mle(design, z1, z2, standardize=False)
+    assert not fit.converged
+    assert 1.0 - 1e-15 < fit.rho_hat < 1.0
+    model = GeneralizedMarkov(fit.sigma11_hat, fit.sigma22_hat, fit.rho_hat,
+                              ExponentialCorrelogram(fit.theta_hat), NuggetCorrelogram())
+    assert model.validity().ok
+    # no slope inside the family does better, at the fitted theta and sigma11
+    for rho in (0.5, 0.9, 0.999):
+        tau = float(np.mean((z2 - rho * z1) ** 2))
+        assert fit.loglik >= loglikelihood(design, z1, z2, fit.theta_hat, fit.sigma11_hat,
+                                           tau + rho**2 * fit.sigma11_hat, rho)
+    fit = fit_mle(design, z1, z2, standardize=True)
+    assert fit.converged and abs(fit.rho_hat) < 1.0

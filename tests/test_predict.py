@@ -19,6 +19,7 @@ from cokrig import (
     Mat05,
     NuggetCorrelogram,
     ObservationVector,
+    ValidationError,
     equispaced,
     mspe_closed_form,
     ordinary_cokrige,
@@ -338,6 +339,17 @@ def test_predictors_reject_bad_observations():
     obs = ObservationVector([1.0, 2.0], [0.0, 0.0])
     with pytest.raises(DomainError):
         simple_cokrige(model, design, obs, 0.5)
+
+
+def test_cokriging_refuses_an_invalid_model():
+    # |lamc| = 0.6 exceeds the cross exponent 0.5: the joint model is
+    # indefinite, yet its 6x6 system still factors at these sites
+    model = NS2(1.0, 1.0, 0.5, 0.6, 0.5)
+    design = equispaced(3)
+    obs = ObservationVector([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    for fn in (simple_cokrige, ordinary_cokrige):
+        with pytest.raises(ValidationError, match="exceeds the cross exponent"):
+            fn(model, design, obs, 0.3)
 
 
 def test_prediction_is_linear_in_observations(rng):
