@@ -325,6 +325,9 @@ def _cmd_fit(args) -> int:
     if fit.stderr is not None:
         for name in ("theta", "sigma11", "sigma22", "rho"):
             print(f"stderr.{name} = {_fmt(fit.stderr[name])}")
+    if not fit.converged:
+        print("warning: fit did not converge; theta reached the edge of its search bracket",
+              file=sys.stderr)
     if args.spec_out is not None:
         model = covmodel.GeneralizedMarkov(
             fit.sigma11_hat, fit.sigma22_hat, fit.rho_hat,

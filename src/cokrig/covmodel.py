@@ -197,13 +197,13 @@ class ValidityReport:
 # --------------------------------------------------------------------------
 
 class BivariateCovariance:
-    """Base class; subclasses provide ``cov11``, ``cov12``, ``cov22``
-    plus a ``sigma11`` attribute giving the primary marginal variance."""
+    """Base class; subclasses provide ``cov12`` and ``cov22`` plus
+    ``sigma11`` and ``c11``, the primary's variance and correlogram."""
 
     family = "abstract"
 
     def cov11(self, h):
-        raise NotImplementedError
+        return self.sigma11 * self.c11.value(h)
 
     def cov12(self, h):
         raise NotImplementedError
@@ -276,9 +276,6 @@ class GeneralizedMarkov(BivariateCovariance):
     def residual_margin(self) -> float:
         return self.sigma22 - self.rho**2 * self.sigma11
 
-    def cov11(self, h):
-        return self.sigma11 * self.c11.value(h)
-
     def cov12(self, h):
         return self.rho * self.sigma11 * self.c11.value(h)
 
@@ -289,8 +286,6 @@ class GeneralizedMarkov(BivariateCovariance):
     def validity(self) -> ValidityReport:
         violations: list[str] = []
         warnings: list[str] = []
-        if abs(self.rho) >= 1.0:
-            violations.append(f"|rho| must be below 1, got {self.rho}")
         if self.residual_margin <= 0:
             violations.append(
                 f"residual variance sigma22 - rho^2*sigma11 = "
@@ -329,8 +324,9 @@ class Proportional(BivariateCovariance):
         if self.sigma11 <= 0 or self.sigma22 <= 0:
             raise DomainError("variances must be positive")
 
-    def cov11(self, h):
-        return self.sigma11 * self.base.value(h)
+    @property
+    def c11(self) -> Correlogram:
+        return self.base
 
     def cov12(self, h):
         return self.sigma12 * self.base.value(h)
@@ -373,9 +369,9 @@ class NS1(BivariateCovariance):
     def __post_init__(self):
         _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
 
-    def cov11(self, h):
-        hh = _as_distance(h)
-        return self.sigma11 * self.lam**hh
+    @property
+    def c11(self) -> Correlogram:
+        return ExponentialCorrelogram.from_base(self.lam)
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -407,21 +403,15 @@ class _ProportionalPair(BivariateCovariance):
     def __post_init__(self):
         _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
 
-    def _corr(self) -> Correlogram:
-        raise NotImplementedError
-
     @property
     def sigma12(self) -> float:
         return math.sqrt(self.sigma11 * self.sigma22) * self.lamc
 
-    def cov11(self, h):
-        return self.sigma11 * self._corr().value(h)
-
     def cov12(self, h):
-        return self.sigma12 * self._corr().value(h)
+        return self.sigma12 * self.c11.value(h)
 
     def cov22(self, h):
-        return self.sigma22 * self._corr().value(h)
+        return self.sigma22 * self.c11.value(h)
 
     def validity(self) -> ValidityReport:
         violations: list[str] = []
@@ -438,7 +428,8 @@ class Mat05(_ProportionalPair):
 
     family = "mat05"
 
-    def _corr(self) -> Correlogram:
+    @property
+    def c11(self) -> Correlogram:
         return ExponentialCorrelogram.from_base(self.lam)
 
 
@@ -449,7 +440,8 @@ class Mat15(_ProportionalPair):
 
     family = "mat15"
 
-    def _corr(self) -> Correlogram:
+    @property
+    def c11(self) -> Correlogram:
         return Matern15Correlogram(self.lam)
 
 
@@ -459,7 +451,8 @@ class MatInf(_ProportionalPair):
 
     family = "matinf"
 
-    def _corr(self) -> Correlogram:
+    @property
+    def c11(self) -> Correlogram:
         return SquaredExponentialCorrelogram(self.lam)
 
 
@@ -513,9 +506,9 @@ class NS2(BivariateCovariance):
         elif not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
             raise DomainError(f"cross exponent must lie in (0, 1), got {alpha}")
 
-    def cov11(self, h):
-        hh = _as_distance(h)
-        return self.sigma11 * self.lam**hh
+    @property
+    def c11(self) -> Correlogram:
+        return ExponentialCorrelogram.from_base(self.lam)
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -570,9 +563,9 @@ class NS3(BivariateCovariance):
     def rate(self) -> float:
         return -math.log(self.lam)
 
-    def cov11(self, h):
-        hh = _as_distance(h)
-        return self.sigma11 * np.exp(-self.rate * hh)
+    @property
+    def c11(self) -> Correlogram:
+        return ExponentialCorrelogram(self.rate)
 
     def cov12(self, h):
         hh = _as_distance(h)

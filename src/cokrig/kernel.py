@@ -201,12 +201,15 @@ def _bracket(design: Design, x0) -> np.ndarray:
     return np.minimum(np.maximum(x0, design.x_start), design.x_end)
 
 
-def _pointwise(design: Design, theta: float, x0) -> tuple[np.ndarray, np.ndarray]:
+def _pointwise(design: Design, theta: float, x0, weights: bool = False) -> tuple:
     """``1 - sigma0' P^{-1} sigma0`` and ``1 - 1' P^{-1} sigma0`` at targets.
 
     Both are products over the bracketing sites at distances ``a`` and
     ``b`` (see ``predict.mspe_closed_form``), taken through ``expm1`` so
-    that neither cancels; both are exactly 0 at a site.
+    that neither cancels; both are exactly 0 at a site.  With
+    ``weights``, also the bracketing interval ``i`` and the only nonzero
+    entries of ``P^{-1} sigma0``, ``sinh(theta b) / sinh(theta d)`` at
+    ``x_i`` and ``sinh(theta a) / sinh(theta d)`` at ``x_{i+1}``.
     """
     if design.n < 2:
         raise DomainError("need at least two sites to bracket a target")
@@ -219,9 +222,20 @@ def _pointwise(design: Design, theta: float, x0) -> tuple[np.ndarray, np.ndarray
             f"theta * gap = {np.min(theta * d):.3e} below {MIN_THETA_GAP:.0e} "
             "in a bracketing interval"
         )
-    simple = np.expm1(-2.0 * theta * a) * np.expm1(-2.0 * theta * b) / -np.expm1(-2.0 * theta * d)
+    ea, eb, ed = np.expm1(-2.0 * theta * a), np.expm1(-2.0 * theta * b), np.expm1(-2.0 * theta * d)
+    simple = ea * eb / -ed
     cross = np.expm1(-theta * a) * np.expm1(-theta * b) / (1.0 + np.exp(-theta * d))
-    return simple, cross
+    if not weights:
+        return simple, cross
+    return simple, cross, i, np.exp(-theta * a) * eb / ed, np.exp(-theta * b) * ea / ed
+
+
+def _precision_row_sums(design: Design, theta: float) -> np.ndarray:
+    """``P^{-1} 1`` in closed form: ``(t_{j-1} + t_j) / 2`` with
+    ``t_j = tanh(theta d_j / 2)`` and ``t_0 = t_n = 1``; it sums to
+    ``ones_quadratic_form``."""
+    t = np.concatenate(([1.0], np.tanh(0.5 * theta * design.gap_array()), [1.0]))
+    return 0.5 * (t[:-1] + t[1:])
 
 
 def quad_forms_at(design: Design, theta: float, x0: float) -> tuple[float, float]:

@@ -56,9 +56,8 @@ class MleFit:
     ``rho``) to observed-information standard errors, or is None when the
     finite-difference Hessian was not invertible.  ``converged`` reports
     whether the scalar solve in ``log theta`` succeeded strictly inside
-    the search bracket, and the slope's maximum has ``|rho| < 1``; at the
-    bracket's edge the data look like white noise (top) or a constant
-    (bottom).
+    the search bracket; at the bracket's edge the data look like white
+    noise (top) or a constant (bottom).
     """
 
     theta_hat: float
@@ -180,10 +179,7 @@ def fit_mle(design: Design, z1, z2, standardize: bool = True) -> MleFit:
     across a bracket set by the design's length and smallest gap, then
     by a bounded scalar solve between the best grid point's neighbours.
     ``standardize`` centers and scales each variable first, in which
-    case the returned variances refer to the standardized data.  When
-    the slope's maximum has ``|rho| >= 1``, outside the family, the fit
-    takes the largest ``|rho|`` below 1 and is not converged;
-    standardized data always give ``|rho| <= 1``.
+    case the returned variances refer to the standardized data.
     """
     if design.n < 4:
         raise DomainError(f"need at least 4 sites to fit, got {design.n}")
@@ -195,11 +191,6 @@ def fit_mle(design: Design, z1, z2, standardize: bool = True) -> MleFit:
     if ss1 <= 0:
         raise DomainError("z1 is identically zero")
     rho = float(np.sum(z1 * z2)) / ss1
-    # the family needs |rho| < 1; past it the likelihood rises all the way
-    # to the boundary, so the fit takes the nearest slope inside
-    inside = abs(rho) < 1.0
-    if not inside:
-        rho = math.copysign(float(np.nextafter(1.0, 0.0)), rho)
     resid = z2 - rho * z1
     tau = float(np.sum(resid * resid)) / (r * n)
 
@@ -217,7 +208,7 @@ def fit_mle(design: Design, z1, z2, standardize: bool = True) -> MleFit:
         profile, bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
         method="bounded", options={"xatol": 1e-10},
     )
-    converged = bool(res.success) and inside and lo + _EDGE < res.x < hi - _EDGE
+    converged = bool(res.success and lo + _EDGE < res.x < hi - _EDGE)
     theta_hat = math.exp(res.x)
     s11_hat = _primary_terms(gaps, theta_hat, z1)[0] / (r * n)
     s22_hat = tau + rho**2 * s11_hat

@@ -2,11 +2,20 @@
 
 Simple variants assume a known zero mean; ordinary variants estimate an
 unknown constant mean per process via the usual augmented equations.
-The cokriging solvers work for any bivariate covariance model through
-dense Cholesky solves; the single-process kriging solvers additionally
-exploit the exponential kernel's tridiagonal inverse and closed-form
-error expressions.  No pseudo-inverse is used anywhere: a factorization
-failure raises ``ConditioningError``.
+
+* Kriging with an :class:`ExponentialKernel` is O(n) per target: the
+  kernel is Markov on the transect, so the simple-kriging weights sit on
+  the two sites bracketing the target, and the ordinary model adds the
+  closed-form ``P^{-1} 1``.  The error comes from the same bracket.
+* Cokriging a valid model with ``C12 = c * C11`` (``reduction_applies``)
+  is kriging of the primary from its own data, with zero secondary
+  weights.
+* One dense Cholesky solve serves the rest: kriging with a
+  ``(sigma11, Correlogram)`` pair, and cokriging the non-reducible
+  families (NS2, NS3).
+
+No pseudo-inverse is used anywhere: a factorization failure raises
+``ConditioningError``.
 """
 
 from dataclasses import dataclass
@@ -15,8 +24,8 @@ import numpy as np
 from scipy import linalg
 
 from . import kernel as kern
-from .covmodel import (BivariateCovariance, Correlogram, _require_valid, build_cross_vector,
-                       build_joint_covariance)
+from .covmodel import (BivariateCovariance, Correlogram, ExponentialCorrelogram, _require_valid,
+                       build_cross_vector, build_joint_covariance, reduction_applies)
 from .design import Design
 from .exceptions import ConditioningError, DomainError
 from .kernel import ExponentialKernel
@@ -67,22 +76,33 @@ class PredictionResult:
     weights: np.ndarray
 
 
-def _cho_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _blup(cov: np.ndarray, cov0: np.ndarray, var0: float, drift: np.ndarray | None = None):
+    """Weights and error of the best linear unbiased predictor, by Cholesky.
+
+    ``cov`` is the data covariance, ``cov0`` the data's covariance with
+    the target and ``var0`` the target's variance.  Each ``drift`` column
+    carries an unknown constant mean; the first is the target's own, so
+    its weights sum to one and the others' to zero.
+    """
+    rhs = cov0 if drift is None else np.column_stack([cov0, drift])
     try:
-        factor = linalg.cho_factor(matrix, lower=True)
+        sol = linalg.cho_solve(linalg.cho_factor(cov, lower=True), rhs)
     except linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance matrix is not positive definite: {exc}") from exc
-    return linalg.cho_solve(factor, rhs)
+    if drift is None:
+        return sol, max(float(var0 - cov0 @ sol), 0.0)
+    s, s_drift = sol[:, 0], sol[:, 1:]
+    resid = -drift.T @ s
+    resid[0] += 1.0
+    try:
+        gamma = linalg.solve(drift.T @ s_drift, resid, assume_a="pos")
+    except linalg.LinAlgError as exc:
+        raise ConditioningError(f"drift normal equations are singular: {exc}") from exc
+    return s + s_drift @ gamma, max(float(var0 - cov0 @ s + resid @ gamma), 0.0)
 
 
-def _split_kernel(kernel) -> tuple[float, Correlogram | None, float | None]:
-    """Return (sigma11, correlogram-or-None, theta-or-None).
-
-    Accepts either an :class:`ExponentialKernel` (closed-form route) or
-    a ``(sigma11, Correlogram)`` pair (dense route).
-    """
-    if isinstance(kernel, ExponentialKernel):
-        return kernel.sigma11, None, kernel.theta
+def _check_pair(kernel) -> tuple[float, Correlogram]:
+    """A ``(sigma11, Correlogram)`` kernel as a checked pair."""
     try:
         sigma11, corr = kernel
     except (TypeError, ValueError):
@@ -93,12 +113,7 @@ def _split_kernel(kernel) -> tuple[float, Correlogram | None, float | None]:
         raise DomainError(f"second element must be a Correlogram, got {corr!r}")
     if not (np.isfinite(sigma11) and sigma11 > 0):
         raise DomainError(f"variance must be positive, got {sigma11}")
-    return float(sigma11), corr, None
-
-
-def _check_obs_length(n_design: int, z: np.ndarray, what: str):
-    if z.size != n_design:
-        raise DomainError(f"{what} has {z.size} entries for {n_design} sites")
+    return float(sigma11), corr
 
 
 def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str = "simple"):
@@ -127,69 +142,68 @@ def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str =
     return float(err) if err.ndim == 0 else err
 
 
-def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
-    """Zero-mean kriging of the primary process from its own data.
-
-    ``kernel`` is an :class:`ExponentialKernel` (tridiagonal closed
-    route) or a ``(sigma11, Correlogram)`` pair (dense route).
-    """
+def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionResult:
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
     if not np.all(np.isfinite(z1)):
         raise DomainError("observations must be finite")
-    _check_obs_length(design.n, z1, "z1")
-    x0 = float(kern._bracket(design, x0))
-    sigma11, corr, theta = _split_kernel(kernel)
-    pts = design.points
-    if theta is not None:
-        sigma_p0 = np.exp(-theta * np.abs(pts - x0))
-        weights = kern.precision_matrix(design, theta) @ sigma_p0
-        mspe = mspe_closed_form(ExponentialKernel(theta, sigma11), design, x0, "simple")
+    if z1.size != design.n:
+        raise DomainError(f"z1 has {z1.size} entries for {design.n} sites")
+    if isinstance(kernel, ExponentialKernel):
+        theta = kernel.theta
+        err, cross, i, left, right = kern._pointwise(design, theta, float(x0), weights=True)
+        weights = np.zeros(design.n)
+        weights[i], weights[i + 1] = left, right
+        if ordinary:
+            q0 = kern.ones_quadratic_form(design, theta)
+            weights += kern._precision_row_sums(design, theta) * (cross / q0)
+            err = err + cross**2 / q0
+        mspe = kernel.sigma11 * float(err)
     else:
-        H = np.abs(pts[:, None] - pts[None, :])
-        cmat = sigma11 * np.asarray(corr.value(H), dtype=float)
-        c0 = sigma11 * np.asarray(corr.value(np.abs(pts - x0)), dtype=float)
-        weights = _cho_solve(cmat, c0)
-        mspe = max(float(sigma11 - c0 @ weights), 0.0)
+        sigma11, corr = _check_pair(kernel)
+        x0 = float(kern._bracket(design, x0))
+        pts = design.points
+        cov = sigma11 * np.asarray(corr.value(np.abs(pts[:, None] - pts[None, :])), dtype=float)
+        cov0 = sigma11 * np.asarray(corr.value(np.abs(pts - x0)), dtype=float)
+        drift = np.ones((design.n, 1)) if ordinary else None
+        weights, mspe = _blup(cov, cov0, sigma11, drift)
     return PredictionResult(float(weights @ z1), mspe, weights)
+
+
+def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
+    """Zero-mean kriging of the primary process from its own data.
+
+    ``kernel`` is an :class:`ExponentialKernel` (closed-form weights on
+    the two bracketing sites) or a ``(sigma11, Correlogram)`` pair
+    (dense route).
+    """
+    return _krige(kernel, design, z1, x0, ordinary=False)
 
 
 def ordinary_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     """Unknown-constant-mean kriging of the primary process."""
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    if not np.all(np.isfinite(z1)):
-        raise DomainError("observations must be finite")
-    _check_obs_length(design.n, z1, "z1")
-    x0 = float(kern._bracket(design, x0))
-    sigma11, corr, theta = _split_kernel(kernel)
-    pts = design.points
-    ones = np.ones(design.n)
-    if theta is not None:
-        Q = kern.precision_matrix(design, theta)
-        s = Q @ np.exp(-theta * np.abs(pts - x0))
-        q_ones = Q @ ones
-        q0 = kern.ones_quadratic_form(design, theta)
-        weights = s + q_ones * (1.0 - ones @ s) / q0
-        mspe = mspe_closed_form(ExponentialKernel(theta, sigma11), design, x0, "ordinary")
-    else:
-        H = np.abs(pts[:, None] - pts[None, :])
-        cmat = sigma11 * np.asarray(corr.value(H), dtype=float)
-        c0 = sigma11 * np.asarray(corr.value(np.abs(pts - x0)), dtype=float)
-        s = _cho_solve(cmat, c0)
-        q_ones = _cho_solve(cmat, ones)
-        q0 = float(ones @ q_ones)
-        resid = 1.0 - float(ones @ s)
-        weights = s + q_ones * resid / q0
-        mspe = max(float(sigma11 - c0 @ s + resid**2 / q0), 0.0)
-    return PredictionResult(float(weights @ z1), mspe, weights)
+    return _krige(kernel, design, z1, x0, ordinary=True)
 
 
-def _cokriging_system(model, design: Design, obs: ObservationVector, x0: float):
-    """Joint covariance, cross-covariance vector and target variance of a valid model."""
+def _cokrige(model, design: Design, obs: ObservationVector, x0: float, ordinary: bool):
     _require_valid(model)
     if obs.n != design.n:
         raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
+    n = design.n
+    if reduction_applies(model)[0]:
+        c11 = model.c11
+        markov = isinstance(c11, ExponentialCorrelogram) and n > 1  # one site has no bracket
+        kernel = ExponentialKernel(c11.rate, model.sigma11) if markov else (model.sigma11, c11)
+        kr = _krige(kernel, design, obs.z1, x0, ordinary)
+        return PredictionResult(kr.value, kr.mspe, np.concatenate([kr.weights, np.zeros(n)]))
     x0 = float(kern._bracket(design, x0))
-    return (build_joint_covariance(model, design), *build_cross_vector(model, design, x0))
+    cov0, var0 = build_cross_vector(model, design, x0)
+    drift = None
+    if ordinary:
+        drift = np.zeros((2 * n, 2))
+        drift[:n, 0] = 1.0
+        drift[n:, 1] = 1.0
+    weights, mspe = _blup(build_joint_covariance(model, design), cov0, var0, drift)
+    return PredictionResult(float(weights @ obs.stacked()), mspe, weights)
 
 
 def simple_cokrige(
@@ -197,15 +211,13 @@ def simple_cokrige(
 ) -> PredictionResult:
     """Zero-mean cokriging of the primary process from both processes.
 
-    Solves the full ``2n`` system with the joint covariance of the
-    stacked observations; the weight vector carries primary weights
-    first, secondary weights last.  An invalid model raises
-    ``ValidationError`` before any solve.
+    The weight vector carries primary weights first, secondary weights
+    last.  When ``C12 = c * C11`` this is simple kriging of the primary
+    with zero secondary weights; otherwise it solves the full ``2n``
+    system.  An invalid model raises ``ValidationError`` before any
+    solve.
     """
-    sigma, sigma0, sigma00 = _cokriging_system(model, design, obs, x0)
-    weights = _cho_solve(sigma, sigma0)
-    mspe = max(float(sigma00 - sigma0 @ weights), 0.0)
-    return PredictionResult(float(weights @ obs.stacked()), mspe, weights)
+    return _cokrige(model, design, obs, x0, ordinary=False)
 
 
 def ordinary_cokrige(
@@ -217,20 +229,4 @@ def ordinary_cokrige(
     one and the secondary weights to sum to zero; the returned MSPE
     includes the penalty for estimating the two means.
     """
-    sigma, sigma0, sigma00 = _cokriging_system(model, design, obs, x0)
-    n = design.n
-    drift = np.zeros((2 * n, 2))
-    drift[:n, 0] = 1.0
-    drift[n:, 1] = 1.0
-    f0 = np.array([1.0, 0.0])
-    sol = _cho_solve(sigma, np.column_stack([sigma0, drift]))
-    si_sigma0, si_drift = sol[:, 0], sol[:, 1:]
-    gram = drift.T @ si_drift
-    resid = f0 - drift.T @ si_sigma0
-    try:
-        gamma = linalg.solve(gram, resid, assume_a="pos")
-    except linalg.LinAlgError as exc:
-        raise ConditioningError(f"drift normal equations are singular: {exc}") from exc
-    weights = si_sigma0 + si_drift @ gamma
-    mspe = max(float(sigma00 - sigma0 @ si_sigma0 + resid @ gamma), 0.0)
-    return PredictionResult(float(weights @ obs.stacked()), mspe, weights)
+    return _cokrige(model, design, obs, x0, ordinary=True)

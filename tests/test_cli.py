@@ -396,6 +396,24 @@ def test_fit_with_design_file(capsys, tmp_path):
     assert model.rho == pytest.approx(float(fields["rho"]), rel=1e-10)
 
 
+def test_fit_warns_when_theta_reaches_the_bracket_edge(capsys, tmp_path):
+    # white noise on 17 sites: theta runs to the top of its search bracket
+    rng = np.random.default_rng(1)
+    dpath = write_design(tmp_path, equispaced(17).gaps)
+    opath = tmp_path / "obs.csv"
+    opath.write_text(obs_csv_text(rng.standard_normal(17), rng.standard_normal(17)))
+    out, err = run_ok(capsys, ["fit", "--observations", str(opath), "--design", dpath])
+    fields = dict(l.split(" = ") for l in out.strip().splitlines())
+    assert fields["converged"] == "false"
+    assert float(fields["theta"]) == pytest.approx(20.0 * 16, rel=1e-5)
+    assert "did not converge" in err and "edge of its search bracket" in err
+    # a fit inside the bracket stays silent
+    z1, z2 = simulate_observations(equispaced(17), 17.12, 0.85, 0.94, 0.25, seed=5)
+    opath.write_text(obs_csv_text(z1[0], z2[0]))
+    out, err = run_ok(capsys, ["fit", "--observations", str(opath), "--design", dpath])
+    assert "converged = true" in out and err == ""
+
+
 def test_fit_observation_count_mismatch(capsys, tmp_path):
     dpath = write_design(tmp_path, equispaced(5).gaps)
     opath = tmp_path / "obs.csv"

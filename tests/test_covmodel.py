@@ -32,7 +32,7 @@ from cokrig import (
     reduction_applies,
     validate,
 )
-from oracles import random_design_gaps
+from oracles import joint_blocks, random_design_gaps
 
 E = math.e
 
@@ -339,12 +339,18 @@ def test_validate_generalized_markov():
 
 
 def test_validate_generalized_markov_large_rho():
+    # |rho| > 1 with a positive residual variance is a valid shared-
+    # component model: the dense joint matrix is positive definite
     m = GeneralizedMarkov(1.0, 10.0, 1.5,
                           ExponentialCorrelogram(2.0),
                           ExponentialCorrelogram(1.0))
     rep = validate(m)
-    assert not rep.ok
-    assert any("rho" in v for v in rep.violations)
+    assert rep.ok
+    joint = joint_blocks(m, equispaced(17).points)
+    assert np.linalg.eigvalsh(joint).min() > 0
+    m = GeneralizedMarkov(1.0, 9.0, 2.5, ExponentialCorrelogram(17.12), NuggetCorrelogram())
+    assert validate(m).ok
+    assert np.linalg.eigvalsh(joint_blocks(m, equispaced(17).points)).min() > 0.2
 
 
 def test_validate_nugget_residual_warns_but_passes():

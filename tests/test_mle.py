@@ -204,22 +204,22 @@ def test_fit_flags_a_profile_that_peaks_at_the_bracket_edge():
 
 
 def test_fit_keeps_the_slope_inside_the_family():
-    # unstandardized data with slope 2.5: the likelihood rises toward
-    # |rho| = 1, the family's boundary, so the fit stops just inside it
-    # and is not converged
+    # unstandardized data with slope 2.5: the family needs only a positive
+    # residual variance, so the slope's closed-form maximum stands, and it
+    # is a stationary point of the dense likelihood of a valid model
     design = equispaced(17)
     z1, z2 = simulate_observations(design, theta=17.12, sigma11=1.0, sigma22=9.0,
                                    rho=2.5, replicates=50, seed=3)
     fit = fit_mle(design, z1, z2, standardize=False)
-    assert not fit.converged
-    assert 1.0 - 1e-15 < fit.rho_hat < 1.0
+    assert fit.converged
+    assert fit.rho_hat == pytest.approx(float(np.sum(z1 * z2) / np.sum(z1 * z1)), rel=1e-15)
+    assert fit.rho_hat > 1.0
     model = GeneralizedMarkov(fit.sigma11_hat, fit.sigma22_hat, fit.rho_hat,
                               ExponentialCorrelogram(fit.theta_hat), NuggetCorrelogram())
     assert model.validity().ok
-    # no slope inside the family does better, at the fitted theta and sigma11
-    for rho in (0.5, 0.9, 0.999):
-        tau = float(np.mean((z2 - rho * z1) ** 2))
-        assert fit.loglik >= loglikelihood(design, z1, z2, fit.theta_hat, fit.sigma11_hat,
-                                           tau + rho**2 * fit.sigma11_hat, rho)
+    assert np.linalg.eigvalsh(oracles.joint_blocks(model, design.points)).min() > 0
+    params = [fit.theta_hat, fit.sigma11_hat, fit.sigma22_hat, fit.rho_hat]
+    assert fit.loglik == pytest.approx(dense_loglik(design, z1, z2, *params), rel=1e-12)
+    assert np.max(np.abs(_log_gradient(design, z1, z2, params))) <= 1e-3
     fit = fit_mle(design, z1, z2, standardize=True)
     assert fit.converged and abs(fit.rho_hat) < 1.0

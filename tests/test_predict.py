@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cokrig.kernel
+import cokrig.predict
 from cokrig import (
+    NS1,
     NS2,
     NS3,
     Design,
@@ -17,8 +20,13 @@ from cokrig import (
     ExtrapolationError,
     GeneralizedMarkov,
     Mat05,
+    Mat15,
+    Matern15Correlogram,
+    MatInf,
     NuggetCorrelogram,
     ObservationVector,
+    Proportional,
+    SquaredExponentialCorrelogram,
     ValidationError,
     equispaced,
     mspe_closed_form,
@@ -104,6 +112,44 @@ def test_krige_matches_dense_oracle(rng):
         val, mspe = oracles.dense_ordinary_krige(pts, theta, sigma11, z1, x0)
         assert out.value == pytest.approx(val, abs=1e-9)
         assert out.mspe == pytest.approx(mspe, abs=1e-9)
+
+
+def _mp_krige_weights(points, theta, targets, mp):
+    """Simple and ordinary kriging weights by a dense mpmath solve."""
+    pts = [mp.mpf(float(p)) for p in points]
+    n = len(pts)
+    corr = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            corr[i, j] = mp.exp(-theta * abs(pts[i] - pts[j]))
+    inv = mp.inverse(corr)
+    u = inv * mp.matrix([1] * n)
+    out = []
+    for x0 in targets:
+        s = inv * mp.matrix([mp.exp(-theta * abs(p - mp.mpf(float(x0)))) for p in pts])
+        o = s + u * ((1 - sum(s)) / sum(u))
+        out.append(([float(v) for v in s], [float(v) for v in o]))
+    return out
+
+
+def test_krige_weights_match_mpmath(rng):
+    # the closed-form weights carry no cancellation at small theta * d,
+    # where a solve through the precision matrix loses digits
+    mp = pytest.importorskip("mpmath")
+    design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, 17)))
+    pts = design.points
+    targets = np.concatenate([rng.uniform(0.0, 1.0, 8), pts])
+    worst = 0.0
+    with mp.workdps(40):
+        for theta in (1e-3, 0.5, 17.12, 300.0):
+            kern = ExponentialKernel(theta)
+            want = _mp_krige_weights(pts, mp.mpf(theta), targets, mp)
+            for x0, (w_simple, w_ordinary) in zip(targets, want):
+                got = simple_krige(kern, design, np.zeros(design.n), x0).weights
+                worst = max(worst, np.max(np.abs(got - w_simple)))
+                got = ordinary_krige(kern, design, np.zeros(design.n), x0).weights
+                worst = max(worst, np.max(np.abs(got - w_ordinary)))
+    assert worst <= 1e-13
 
 
 def test_krige_dense_route_agrees_with_closed_route(rng):
@@ -279,6 +325,63 @@ def test_reduction_collapses_to_kriging(rng):
             kr = ordinary_krige(kernel, design, z1, x0)
             assert co.value == pytest.approx(kr.value, abs=1e-8)
             assert co.mspe == pytest.approx(kr.mspe, abs=1e-9)
+
+
+REDUCIBLE_MODELS = [
+    GeneralizedMarkov(0.85, 0.94, 0.25, ExponentialCorrelogram(17.12), NuggetCorrelogram()),
+    GeneralizedMarkov(1.3, 2.0, -0.8, Matern15Correlogram(0.2), ExponentialCorrelogram(3.0)),
+    Proportional(1.0, -0.6, 0.9, SquaredExponentialCorrelogram(1e-4)),
+    NS1(0.7, 1.4, 0.3, 0.6),
+    Mat05(1.0, 2.0, 0.3, 0.5),
+    Mat15(0.5, 1.5, 0.2, -0.4),
+    MatInf(1.2, 0.8, 1e-4, 0.7),
+]
+
+
+@pytest.mark.parametrize("model", REDUCIBLE_MODELS, ids=lambda m: m.family)
+def test_reducible_cokriging_matches_dense_oracle(rng, model):
+    # C12 proportional to C11: both cokrigers answer by kriging the
+    # primary, which the full 2n x 2n solve must confirm
+    assert reduction_applies(model)[0]
+    cases = [(Design.single(0.4), 0.4)]  # one site has no bracketing interval
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        gaps = oracles.random_design_gaps(rng, n, min_gap=0.1)
+        cases.append((Design(0.0, 1.0, tuple(gaps)), float(rng.uniform(0.0, 1.0))))
+    for design, x0 in cases:
+        n = design.n
+        obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
+        for fn, oracle in ((simple_cokrige, oracles.dense_simple_cokrige),
+                           (ordinary_cokrige, oracles.dense_ordinary_cokrige)):
+            out = fn(model, design, obs, x0)
+            val, mspe = oracle(model, design.points, obs.stacked(), x0)
+            assert out.value == pytest.approx(val, abs=1e-9)
+            assert out.mspe == pytest.approx(mspe, abs=1e-10)
+            assert not np.any(out.weights[n:])
+
+
+def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense algebra on a Markov prediction path")
+
+    monkeypatch.setattr(cokrig.kernel, "precision_matrix", refuse)
+    monkeypatch.setattr(cokrig.predict, "build_joint_covariance", refuse)
+    monkeypatch.setattr(cokrig.predict.linalg, "cho_factor", refuse)
+    n = 10**5
+    design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=1e-7)))
+    kern = ExponentialKernel(17.12, 0.85)
+    model = GeneralizedMarkov(0.85, 0.94, 0.25, ExponentialCorrelogram(17.12),
+                              NuggetCorrelogram())
+    obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
+    for x0 in (0.123456, float(design.points[n // 2])):
+        for krige, cokrige, mdl in ((simple_krige, simple_cokrige, "simple"),
+                                    (ordinary_krige, ordinary_cokrige, "ordinary")):
+            kr = krige(kern, design, obs.z1, x0)
+            co = cokrige(model, design, obs, x0)
+            assert kr.mspe == mspe_closed_form(kern, design, x0, mdl)
+            assert co.value == kr.value and co.mspe == kr.mspe
+            assert np.array_equal(co.weights, np.concatenate([kr.weights, np.zeros(n)]))
+        assert float(kr.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonproportional_cross_beats_kriging():
