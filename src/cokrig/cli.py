@@ -116,7 +116,7 @@ def load_design_text(text: str) -> design_mod.Design:
             file=sys.stderr,
         )
     try:
-        return design_mod.Design(0.0, 1.0, tuple(gaps))
+        return design_mod.Design(0.0, 1.0, gaps)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -143,27 +143,13 @@ def _design_from_args(args) -> design_mod.Design:
 
 def kernel_from_model(model: covmodel.BivariateCovariance) -> ExponentialKernel:
     """Primary-variable kernel of a config model, when it is exponential."""
-    if isinstance(model, covmodel.GeneralizedMarkov):
-        corr = model.c11
-        if not isinstance(corr, covmodel.ExponentialCorrelogram):
-            raise DomainError(
-                "criteria need an exponential primary correlogram; "
-                f"config uses {corr.kind}"
-            )
-        return ExponentialKernel(corr.rate, model.sigma11)
-    if isinstance(model, covmodel.Proportional):
-        corr = model.base
-        if not isinstance(corr, covmodel.ExponentialCorrelogram):
-            raise DomainError(
-                "criteria need an exponential primary correlogram; "
-                f"config uses {corr.kind}"
-            )
-        return ExponentialKernel(corr.rate, model.sigma11)
-    if isinstance(model, (covmodel.NS1, covmodel.Mat05, covmodel.NS2, covmodel.NS3)):
-        return ExponentialKernel(-float(np.log(model.lam)), model.sigma11)
-    raise DomainError(
-        f"family '{model.family}' has no exponential primary correlogram"
-    )
+    corr = model.c11
+    if not isinstance(corr, covmodel.ExponentialCorrelogram):
+        raise DomainError(
+            f"criteria need an exponential primary correlogram; family "
+            f"'{model.family}' uses {corr.kind}"
+        )
+    return ExponentialKernel(corr.rate, model.sigma11)
 
 
 def _kernel_from_args(args) -> ExponentialKernel:

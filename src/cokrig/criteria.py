@@ -174,20 +174,20 @@ class ThetaPrior:
 # criterion reports
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionReport:
     """A criterion value with its per-interval breakdown.
 
-    For ``smspe`` the entries of ``per_interval`` are each interval's
-    error supremum and ``value`` is their maximum; for ``imspe`` they
-    are each interval's integral contribution and ``value`` is their
-    sum.
+    ``per_interval`` is a read-only float array.  For ``smspe`` its
+    entries are each interval's error supremum and ``value`` is their
+    maximum; for ``imspe`` they are each interval's integral
+    contribution and ``value`` is their sum.
     """
 
     criterion: str
     model: str
     value: float
-    per_interval: tuple[float, ...]
+    per_interval: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +198,11 @@ def _report(criterion: str, kernel, design: Design, model: str) -> CriterionRepo
     kernel = _check_kernel(kernel)
     model = _check_model(model)
     _require_unit(design)
-    per, value = kern._interval_terms(kernel.theta, design.gap_array(), criterion, model)
+    per, value = kern._interval_terms(kernel.theta, design.gaps, criterion, model)
     s11 = kernel.sigma11
-    return CriterionReport(criterion, model, s11 * float(value), tuple((s11 * per).tolist()))
+    per = s11 * per
+    per.flags.writeable = False
+    return CriterionReport(criterion, model, s11 * float(value), per)
 
 
 def smspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> CriterionReport:
@@ -242,7 +244,7 @@ def smspe_numeric(
             f"need at least 64 grid points per interval, got {grid_points_per_interval}"
         )
     offsets = np.append(np.linspace(0.0, 1.0, grid_points_per_interval), 0.5)[:, None]
-    x0 = design.points[:-1] + offsets * design.gap_array()
+    x0 = design.points[:-1] + offsets * design.gaps
     vals, cross = kern._pointwise(design, kernel.theta, x0)
     if model == "ordinary":
         vals = vals + cross**2 / kern.ones_quadratic_form(design, kernel.theta)
@@ -388,7 +390,7 @@ def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
     prior = _check_prior(prior)
     model = _check_model(model)
     _require_unit(design)
-    return _risk("smspe", prior, design.gap_array(), model)
+    return _risk("smspe", prior, design.gaps, model)
 
 
 def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
@@ -405,7 +407,7 @@ def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
     prior = _check_prior(prior)
     model = _check_model(model)
     _require_unit(design)
-    return _risk("imspe", prior, design.gap_array(), model)
+    return _risk("imspe", prior, design.gaps, model)
 
 
 def relative_efficiency(reference_value: float, candidate_value: float) -> float:

@@ -4,10 +4,11 @@ A design is an ordered set of distinct sites ``x_1 < x_2 < ... < x_n``
 on an interval, stored here as the interval endpoints plus the vector of
 consecutive gaps ``d_i = x_{i+1} - x_i``.  Criterion formulas and the
 design optimizer all work on the gap vector, so the gap representation
-is primary and the site coordinates are derived.
+is primary and the site coordinates are derived.  Both are read-only
+float arrays, validated and built once when the design is made.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,7 @@ GAP_SUM_RTOL = 1e-6
 GAP_SUM_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """Immutable sampling design given by interval endpoints and gaps.
 
@@ -31,51 +32,55 @@ class Design:
     x_start, x_end : float
         Interval endpoints, ``x_start < x_end``.  They are themselves
         the first and last site.
-    gaps : tuple of float
+    gaps : sequence of float
         Positive consecutive gaps.  Their sum must equal
         ``x_end - x_start`` up to a relative slack of ``GAP_SUM_RTOL``;
         the stored gaps are rescaled so the sum matches exactly.
 
     Notes
     -----
+    ``gaps`` and ``points`` are read-only float arrays, built once from
+    a copy of the input; designs compare by identity.
     ``Design.single`` builds the degenerate one-site design (no gaps),
     which only the plain covariance-matrix routines accept.
     """
 
     x_start: float
     x_end: float
-    gaps: tuple[float, ...]
+    gaps: np.ndarray
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x0, x1 = float(self.x_start), float(self.x_end)
         if not (np.isfinite(x0) and np.isfinite(x1)):
             raise DomainError("design endpoints must be finite")
-        gaps = tuple(float(g) for g in self.gaps)
-        if not gaps:
-            if x0 != x1:
-                raise DomainError("a design with no gaps must have x_start == x_end")
-            object.__setattr__(self, "x_start", x0)
-            object.__setattr__(self, "x_end", x1)
-            object.__setattr__(self, "gaps", gaps)
-            return
-        if not x0 < x1:
-            raise DomainError(f"need x_start < x_end, got [{x0}, {x1}]")
-        arr = np.asarray(gaps, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise DomainError("gaps must be finite and strictly positive")
-        length = x1 - x0
-        total = float(arr.sum())
-        if abs(total - length) > GAP_SUM_RTOL * max(1.0, length):
-            raise DomainError(
-                f"gaps sum to {total!r}, interval length is {length!r}; "
-                "renormalize or fix the input"
-            )
-        arr *= length / total
-        if abs(float(arr.sum()) - length) > GAP_SUM_ATOL * max(1.0, length):
-            raise DomainError("gap renormalization failed to reach tolerance")
-        object.__setattr__(self, "x_start", x0)
-        object.__setattr__(self, "x_end", x1)
-        object.__setattr__(self, "gaps", tuple(float(g) for g in arr))
+        arr = np.array(self.gaps, dtype=float)
+        if arr.ndim != 1:
+            raise DomainError("gaps must be a one-dimensional sequence")
+        pts = np.full(arr.size + 1, x0)
+        if arr.size:
+            if not x0 < x1:
+                raise DomainError(f"need x_start < x_end, got [{x0}, {x1}]")
+            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+                raise DomainError("gaps must be finite and strictly positive")
+            length = x1 - x0
+            total = float(arr.sum())
+            if abs(total - length) > GAP_SUM_RTOL * max(1.0, length):
+                raise DomainError(
+                    f"gaps sum to {total!r}, interval length is {length!r}; "
+                    "renormalize or fix the input"
+                )
+            arr *= length / total
+            if abs(float(arr.sum()) - length) > GAP_SUM_ATOL * max(1.0, length):
+                raise DomainError("gap renormalization failed to reach tolerance")
+            np.cumsum(arr, out=pts[1:])
+            pts[1:] += x0
+            pts[-1] = x1
+        elif x0 != x1:
+            raise DomainError("a design with no gaps must have x_start == x_end")
+        arr.flags.writeable = pts.flags.writeable = False
+        for name, value in (("x_start", x0), ("x_end", x1), ("gaps", arr), ("points", pts)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_points(cls, points) -> "Design":
@@ -86,7 +91,7 @@ class Design:
         diffs = np.diff(pts)
         if np.any(diffs <= 0):
             raise DomainError("site coordinates must be strictly increasing")
-        return cls(float(pts[0]), float(pts[-1]), tuple(float(d) for d in diffs))
+        return cls(float(pts[0]), float(pts[-1]), diffs)
 
     @classmethod
     def single(cls, x: float = 0.0) -> "Design":
@@ -96,19 +101,7 @@ class Design:
     @property
     def n(self) -> int:
         """Number of sites."""
-        return len(self.gaps) + 1
-
-    @property
-    def points(self) -> np.ndarray:
-        """Site coordinates as a fresh float array of length ``n``."""
-        if not self.gaps:
-            return np.array([self.x_start])
-        pts = np.empty(self.n)
-        pts[0] = self.x_start
-        np.cumsum(self.gaps, out=pts[1:])
-        pts[1:] += self.x_start
-        pts[-1] = self.x_end
-        return pts
+        return self.points.size
 
     @property
     def length(self) -> float:
@@ -119,7 +112,8 @@ class Design:
         return abs(self.x_start) <= tol and abs(self.x_end - 1.0) <= tol
 
     def gap_array(self) -> np.ndarray:
-        return np.asarray(self.gaps, dtype=float)
+        """The stored ``gaps`` array itself."""
+        return self.gaps
 
 
 def equispaced(n: int, x_start: float = 0.0, x_end: float = 1.0) -> Design:
@@ -127,7 +121,7 @@ def equispaced(n: int, x_start: float = 0.0, x_end: float = 1.0) -> Design:
     if n < 2:
         raise DomainError(f"an equispaced design needs n >= 2, got {n}")
     gap = (float(x_end) - float(x_start)) / (n - 1)
-    return Design(x_start, x_end, (gap,) * (n - 1))
+    return Design(x_start, x_end, np.full(n - 1, gap))
 
 
 def rescale(design: Design, theta: float) -> tuple[Design, float]:
@@ -143,7 +137,7 @@ def rescale(design: Design, theta: float) -> tuple[Design, float]:
     if not theta > 0:
         raise DomainError(f"decay rate must be positive, got {theta}")
     length = design.length
-    unit = Design(0.0, 1.0, tuple(g / length for g in design.gaps))
+    unit = Design(0.0, 1.0, design.gaps / length)
     return unit, theta * length
 
 
@@ -157,8 +151,8 @@ def majorization_perturb(design: Design, from_idx: int, to_idx: int, eps: float)
     the number of sites stay fixed.  Every design criterion in this
     package is Schur-convex, hence never decreases under this move.
     """
-    gaps = list(design.gaps)
-    k = len(gaps)
+    gaps = design.gaps.copy()
+    k = gaps.size
     if not (0 <= from_idx < k and 0 <= to_idx < k):
         raise DomainError(f"gap indices must lie in [0, {k - 1}]")
     if from_idx == to_idx:
@@ -169,4 +163,4 @@ def majorization_perturb(design: Design, from_idx: int, to_idx: int, eps: float)
         raise DomainError(f"eps must lie strictly inside (0, {gaps[from_idx]})")
     gaps[from_idx] -= eps
     gaps[to_idx] += eps
-    return Design(design.x_start, design.x_end, tuple(gaps))
+    return Design(design.x_start, design.x_end, gaps)

@@ -92,7 +92,7 @@ def precision_matrix(design: Design, theta: float) -> np.ndarray:
     ``MIN_THETA_GAP``.
     """
     theta = _check_theta(theta)
-    gaps = design.gap_array()
+    gaps = design.gaps
     if gaps.size and theta * gaps.min() < MIN_THETA_GAP:
         raise ConditioningError(
             f"theta * gap = {theta * gaps.min():.3e} below {MIN_THETA_GAP:.0e}; "
@@ -119,7 +119,7 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     criteria Schur-convex.
     """
     theta = _check_theta(theta)
-    return 1.0 + float(np.sum(_interval_terms(theta, design.gap_array(), "smspe", "simple")[0]))
+    return 1.0 + float(np.sum(_interval_terms(theta, design.gaps, "smspe", "simple")[0]))
 
 
 def _piecewise(x, small, direct, coefs, power: int):
@@ -234,7 +234,7 @@ def _precision_row_sums(design: Design, theta: float) -> np.ndarray:
     """``P^{-1} 1`` in closed form: ``(t_{j-1} + t_j) / 2`` with
     ``t_j = tanh(theta d_j / 2)`` and ``t_0 = t_n = 1``; it sums to
     ``ones_quadratic_form``."""
-    t = np.concatenate(([1.0], np.tanh(0.5 * theta * design.gap_array()), [1.0]))
+    t = np.concatenate(([1.0], np.tanh(0.5 * theta * design.gaps), [1.0]))
     return 0.5 * (t[:-1] + t[1:])
 
 

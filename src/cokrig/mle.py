@@ -124,7 +124,7 @@ def loglikelihood(
     tau = _check_params(theta, sigma11, sigma22, rho)
     z1, z2 = _as_replicates(design.n, z1, z2)
     r, n = z1.shape
-    quad1, logdet_p = _primary_terms(design.gap_array(), theta, z1)
+    quad1, logdet_p = _primary_terms(design.gaps, theta, z1)
     resid = z2 - rho * z1
     quad2 = float(np.sum(resid * resid))
     return (
@@ -151,7 +151,7 @@ def simulate_observations(
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
     rng = np.random.default_rng(seed)
-    x = theta * design.gap_array()
+    x = theta * design.gaps
     keep, scale = np.exp(-x), np.sqrt(-np.expm1(-2.0 * x))
     z1 = rng.standard_normal((replicates, design.n))
     for i in range(1, design.n):
@@ -193,8 +193,11 @@ def fit_mle(design: Design, z1, z2, standardize: bool = True) -> MleFit:
     rho = float(np.sum(z1 * z2)) / ss1
     resid = z2 - rho * z1
     tau = float(np.sum(resid * resid)) / (r * n)
+    # an exact multiple leaves only the rounding of rho * z1, about eps^2 of z2's moment
+    if tau <= np.finfo(float).eps * float(np.sum(z2 * z2)) / (r * n):
+        raise DomainError("z2 is a constant multiple of z1; the residual variance is zero")
 
-    gaps = design.gap_array()
+    gaps = design.gaps
     lo = math.log(max(_LOW_SPAN / gaps.sum(), 2.0 * MIN_THETA_GAP / gaps.min()))
     hi = math.log(_HIGH_GAP / gaps.min())
 

@@ -306,7 +306,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         # quantities are all equal at the equispaced design
         gaps, residual = even, 0.0
         message = f"the equispaced candidate is no worse than the solve's end ({message})"
-    design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
+    design = Design(0.0, 1.0, gaps)
     return OptimizationResult(design, evaluate_criterion(problem, design),
                               residual <= problem.tolerance, _gap_deviation(gaps), evals,
                               residual, message)
@@ -357,7 +357,7 @@ def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> O
         if val < best_val - 0.0 or (val == best_val and comp < best_gaps):
             best_gaps, best_val = comp, val
     gaps = np.asarray(best_gaps, dtype=float) / K
-    design = Design(0.0, 1.0, tuple(float(g) for g in gaps))
+    design = Design(0.0, 1.0, gaps)
     value = evaluate_criterion(problem, design)
     return OptimizationResult(design, value, True, _gap_deviation(gaps), evals, float("nan"),
                               f"exhaustive minimum over {evals} grid nodes")

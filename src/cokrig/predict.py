@@ -3,16 +3,18 @@
 Simple variants assume a known zero mean; ordinary variants estimate an
 unknown constant mean per process via the usual augmented equations.
 
-* Kriging with an :class:`ExponentialKernel` is O(n) per target: the
-  kernel is Markov on the transect, so the simple-kriging weights sit on
-  the two sites bracketing the target, and the ordinary model adds the
-  closed-form ``P^{-1} 1``.  The error comes from the same bracket.
+* Kriging with an exponential correlogram, given as an
+  :class:`ExponentialKernel` or a ``(sigma11, ExponentialCorrelogram)``
+  pair, is O(n) per target on two or more sites: the kernel is Markov
+  on the transect, so the simple-kriging weights sit on the two sites
+  bracketing the target, and the ordinary model adds the closed-form
+  ``P^{-1} 1``.  The error comes from the same bracket.
 * Cokriging a valid model with ``C12 = c * C11`` (``reduction_applies``)
   is kriging of the primary from its own data, with zero secondary
   weights.
-* One dense Cholesky solve serves the rest: kriging with a
-  ``(sigma11, Correlogram)`` pair, and cokriging the non-reducible
-  families (NS2, NS3).
+* One dense Cholesky solve serves the rest: kriging with any other
+  correlogram or on one site, and cokriging the non-reducible families
+  (NS2, NS3).
 
 No pseudo-inverse is used anywhere: a factorization failure raises
 ``ConditioningError``.
@@ -149,7 +151,11 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
     if z1.size != design.n:
         raise DomainError(f"z1 has {z1.size} entries for {design.n} sites")
     if isinstance(kernel, ExponentialKernel):
-        theta = kernel.theta
+        sigma11, corr = kernel.sigma11, ExponentialCorrelogram(kernel.theta)
+    else:
+        sigma11, corr = _check_pair(kernel)
+    if isinstance(corr, ExponentialCorrelogram) and design.n > 1:  # one site has no bracket
+        theta = corr.rate
         err, cross, i, left, right = kern._pointwise(design, theta, float(x0), weights=True)
         weights = np.zeros(design.n)
         weights[i], weights[i + 1] = left, right
@@ -157,9 +163,8 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
             q0 = kern.ones_quadratic_form(design, theta)
             weights += kern._precision_row_sums(design, theta) * (cross / q0)
             err = err + cross**2 / q0
-        mspe = kernel.sigma11 * float(err)
+        mspe = sigma11 * float(err)
     else:
-        sigma11, corr = _check_pair(kernel)
         x0 = float(kern._bracket(design, x0))
         pts = design.points
         cov = sigma11 * np.asarray(corr.value(np.abs(pts[:, None] - pts[None, :])), dtype=float)
@@ -172,9 +177,10 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
 def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     """Zero-mean kriging of the primary process from its own data.
 
-    ``kernel`` is an :class:`ExponentialKernel` (closed-form weights on
-    the two bracketing sites) or a ``(sigma11, Correlogram)`` pair
-    (dense route).
+    ``kernel`` is an :class:`ExponentialKernel` or a ``(sigma11,
+    Correlogram)`` pair.  An exponential correlogram on two or more sites
+    gets closed-form weights on the two bracketing sites; anything else
+    takes the dense route.
     """
     return _krige(kernel, design, z1, x0, ordinary=False)
 
@@ -190,10 +196,7 @@ def _cokrige(model, design: Design, obs: ObservationVector, x0: float, ordinary:
         raise DomainError(f"observations have {obs.n} sites, design has {design.n}")
     n = design.n
     if reduction_applies(model)[0]:
-        c11 = model.c11
-        markov = isinstance(c11, ExponentialCorrelogram) and n > 1  # one site has no bracket
-        kernel = ExponentialKernel(c11.rate, model.sigma11) if markov else (model.sigma11, c11)
-        kr = _krige(kernel, design, obs.z1, x0, ordinary)
+        kr = _krige((model.sigma11, model.c11), design, obs.z1, x0, ordinary)
         return PredictionResult(kr.value, kr.mspe, np.concatenate([kr.weights, np.zeros(n)]))
     x0 = float(kern._bracket(design, x0))
     cov0, var0 = build_cross_vector(model, design, x0)

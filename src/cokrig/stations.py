@@ -110,7 +110,7 @@ def ingest_stations(stations: Sequence[StationRecord]) -> tuple[Design, IngestRe
             )
         hops.append(km)
     total = float(sum(hops))
-    design = Design(0.0, 1.0, tuple(h / total for h in hops))
+    design = Design(0.0, 1.0, np.divide(hops, total))
     report = IngestReport(tuple(s.station_id for s in stations), tuple(hops), total)
     return design, report
 

@@ -9,7 +9,14 @@ from cokrig import (
     ExponentialKernel,
     GeneralizedMarkov,
     ExponentialCorrelogram,
+    Mat05,
+    Mat15,
+    MatInf,
+    NS1,
+    NS2,
+    NS3,
     NuggetCorrelogram,
+    Proportional,
     ThetaPrior,
     equispaced,
     format_config,
@@ -29,7 +36,7 @@ S11 = 0.85
 
 def write_design(tmp_path, gaps, name="design.txt"):
     path = tmp_path / name
-    path.write_text("".join(f"{g!r}\n" for g in gaps))
+    path.write_text("".join(f"{float(g)!r}\n" for g in gaps))
     return str(path)
 
 
@@ -125,6 +132,32 @@ def test_config_without_exponential_primary(capsys, tmp_path):
                         "--spec", str(spec), "--n", "5"])
     _, err = capsys.readouterr()
     assert code == 2 and "exponential" in err
+
+
+@pytest.mark.parametrize("model", [
+    GeneralizedMarkov(S11, 0.94, 0.25, ExponentialCorrelogram(THETA), NuggetCorrelogram()),
+    Proportional(S11, 0.3, 0.9, ExponentialCorrelogram(THETA)),
+    NS1(0.7, 1.4, 0.3, 0.6),
+    Mat05(1.0, 2.0, 0.3, 0.5),
+    NS2(1.0, 1.0, 0.5, 0.5),
+    NS3(1.0, 1.0, 1 / math.e, 0.2),
+    Mat15(0.5, 1.5, 0.2, -0.4),
+    MatInf(1.2, 0.8, 1e-4, 0.7),
+], ids=lambda m: m.family)
+def test_spec_kernel_is_the_primary_correlogram(capsys, tmp_path, model):
+    spec = tmp_path / "m.cfg"
+    spec.write_text(format_config(model))
+    argv = ["evaluate", "--criterion", "imspe", "--model", "ordinary",
+            "--per-interval", "--n", "17"]
+    code = run_command(argv + ["--spec", str(spec)])
+    out, err = capsys.readouterr()
+    c11 = parse_config(spec.read_text()).c11
+    if not isinstance(c11, ExponentialCorrelogram):
+        assert code == 2 and out == "" and "exponential" in err
+        return
+    assert code == 0, err
+    want, _ = run_ok(capsys, argv + ["--theta", repr(c11.rate), "--sigma11", repr(model.sigma11)])
+    assert out == want
 
 
 def test_config_error_carries_line_number(capsys, tmp_path):
@@ -412,6 +445,17 @@ def test_fit_warns_when_theta_reaches_the_bracket_edge(capsys, tmp_path):
     opath.write_text(obs_csv_text(z1[0], z2[0]))
     out, err = run_ok(capsys, ["fit", "--observations", str(opath), "--design", dpath])
     assert "converged = true" in out and err == ""
+
+
+def test_fit_refuses_a_secondary_that_is_a_multiple_of_the_primary(capsys, tmp_path):
+    z1, _ = simulate_observations(equispaced(17), 17.12, 0.85, 0.94, 0.25, seed=5)
+    dpath = write_design(tmp_path, equispaced(17).gaps)
+    opath = tmp_path / "obs.csv"
+    opath.write_text(obs_csv_text(z1[0], 2.5 * z1[0]))
+    code = run_command(["fit", "--observations", str(opath), "--design", dpath])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "constant multiple of z1" in err and "invalid model" not in err
 
 
 def test_fit_observation_count_mismatch(capsys, tmp_path):

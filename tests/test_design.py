@@ -21,10 +21,28 @@ def test_endpoint_is_pinned_exactly():
     assert d.points[-1] == 1.0
 
 
+def test_gaps_and_points_are_read_only_arrays_built_once():
+    raw = np.array([0.7, 2.1, 3.0])
+    d = Design(1.5, 7.3, raw)
+    assert d.points is d.points and d.gaps is d.gap_array()
+    report = smspe(ExponentialKernel(3.0), equispaced(5))
+    for arr in (d.gaps, d.points, report.per_interval):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    before = (d.gaps.tolist(), d.points.tolist())
+    raw[0] = 5.0
+    assert (d.gaps.tolist(), d.points.tolist()) == before
+    assert d.points[-1] == 7.3
+    for given_as in ([0.7, 2.1, 3.0], (0.7, 2.1, 3.0)):
+        other = Design(1.5, 7.3, given_as)
+        assert other.gaps.tolist() == d.gaps.tolist()
+        assert other.points.tolist() == d.points.tolist()
+
+
 def test_from_points_round_trip():
     d = Design.from_points([1.0, 1.5, 2.25, 4.0])
     assert d.x_start == 1.0 and d.x_end == 4.0
-    assert d.gaps == (0.5, 0.75, 1.75)
+    assert d.gaps.tolist() == [0.5, 0.75, 1.75]
 
 
 def test_from_points_rejects_non_increasing():
@@ -71,9 +89,9 @@ def test_single_site_design():
 
 def test_equispaced_constructions():
     d17 = equispaced(17)
-    assert d17.gaps == (1.0 / 16.0,) * 16
-    assert equispaced(2).gaps == (1.0,)
-    assert equispaced(5).gaps == (0.25,) * 4
+    assert d17.gaps.tolist() == [1.0 / 16.0] * 16
+    assert equispaced(2).gaps.tolist() == [1.0]
+    assert equispaced(5).gaps.tolist() == [0.25] * 4
     with pytest.raises(DomainError):
         equispaced(1)
 
@@ -82,14 +100,14 @@ def test_rescale_moves_to_unit_interval():
     d = Design(2.0, 4.0, (0.8, 1.2))
     unit, theta = rescale(d, 5.0)
     assert unit.is_unit_interval()
-    assert unit.gaps == (0.4, 0.6)
+    assert unit.gaps.tolist() == [0.4, 0.6]
     assert theta == 10.0
 
 
 def test_rescale_of_unit_design_is_identity():
     d = Design(0.0, 1.0, (0.3, 0.7))
     unit, theta = rescale(d, 3.0)
-    assert unit.gaps == d.gaps
+    assert unit.gaps.tolist() == d.gaps.tolist()
     assert theta == 3.0
 
 

@@ -131,6 +131,20 @@ def test_validation_errors(xi0):
         fit_mle(equispaced(5), np.ones(5), np.arange(5.0))
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("c", [2.5, 0.3, 1 / 3, 7.1, -1.7])
+def test_fit_blames_a_secondary_that_is_a_multiple_of_the_primary(c, standardize):
+    design = equispaced(17)
+    z1, _ = simulate_observations(design, **TRUTH, seed=5)
+    with pytest.raises(DomainError, match="constant multiple of z1") as info:
+        fit_mle(design, z1, c * z1, standardize=standardize)
+    assert "invalid model" not in str(info.value)
+    # relative noise of 1e-6 leaves a small but real residual variance
+    noise = 1e-6 * abs(c) * z1.std() * np.random.default_rng(11).standard_normal(z1.shape)
+    fit = fit_mle(design, z1, c * z1 + noise, standardize=standardize)
+    assert np.isfinite(fit.loglik) and fit.sigma22_hat > fit.rho_hat**2 * fit.sigma11_hat
+
+
 def test_simulate_applies_the_dense_cholesky_factor():
     # the AR(1) recursion must give the draws that the Cholesky factor of
     # the dense correlation matrix gives from the same seed

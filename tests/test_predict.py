@@ -370,6 +370,7 @@ def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):
     n = 10**5
     design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=1e-7)))
     kern = ExponentialKernel(17.12, 0.85)
+    pair = (0.85, ExponentialCorrelogram(17.12))
     model = GeneralizedMarkov(0.85, 0.94, 0.25, ExponentialCorrelogram(17.12),
                               NuggetCorrelogram())
     obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
@@ -377,8 +378,11 @@ def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):
         for krige, cokrige, mdl in ((simple_krige, simple_cokrige, "simple"),
                                     (ordinary_krige, ordinary_cokrige, "ordinary")):
             kr = krige(kern, design, obs.z1, x0)
+            by_pair = krige(pair, design, obs.z1, x0)
             co = cokrige(model, design, obs, x0)
             assert kr.mspe == mspe_closed_form(kern, design, x0, mdl)
+            assert by_pair.value == kr.value and by_pair.mspe == kr.mspe
+            assert np.array_equal(by_pair.weights, kr.weights)
             assert co.value == kr.value and co.mspe == kr.mspe
             assert np.array_equal(co.weights, np.concatenate([kr.weights, np.zeros(n)]))
         assert float(kr.weights.sum()) == pytest.approx(1.0, abs=1e-12)

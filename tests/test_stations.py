@@ -50,7 +50,7 @@ def test_haversine_symmetry():
 
 def test_three_collinear_stations():
     design, report = ingest_stations(equator_stations([0.0, 0.5, 1.0]))
-    assert design.gaps == (0.5, 0.5)
+    assert design.gaps.tolist() == [0.5, 0.5]
     assert design.x_start == 0.0 and design.x_end == 1.0
     assert report.station_ids == ("s0", "s1", "s2")
     assert report.total_km == pytest.approx(sum(report.hop_km), rel=1e-15)
