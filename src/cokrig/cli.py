@@ -42,7 +42,10 @@ Config grammar (``--spec`` / ``--spec-out``)
 --------------------------------------------
 One ``key = value`` pair per line; ``#`` starts a comment; keys are
 case-insensitive; unknown or duplicate keys are errors.  The family is
-selected by ``family = ...`` and takes these keys:
+selected by ``family = ...``; its keys are the fields of its model
+class, in order (``lam``, ``lamc`` and ``c_r`` are spelled ``lambda``,
+``lambdac`` and ``cr``), and a missing one is reported first in that
+order:
 
 * ``generalized-markov``: ``sigma11``, ``sigma22``, ``rho``, plus two
   correlogram blocks ``c11.*`` and ``cr.*``.
@@ -223,7 +226,7 @@ def _cmd_optimize(args) -> int:
         kernel = _kernel_from_args(args)
         problem = optimizer.OptimizationProblem(
             args.n, args.criterion, model=args.model, kernel=kernel,
-            tolerance=args.tolerance, max_iters=args.max_iters,
+            tolerance=args.tolerance,
         )
     else:
         if _has_kernel_flags(args):
@@ -233,7 +236,7 @@ def _cmd_optimize(args) -> int:
         prior = _prior_from_args(args)
         problem = optimizer.OptimizationProblem(
             args.n, args.criterion, model=args.model, prior=prior,
-            tolerance=args.tolerance, max_iters=args.max_iters,
+            tolerance=args.tolerance,
         )
     result = optimizer.optimize(problem)
     for gap in result.design.gaps:
@@ -418,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest optimality residual reported as converged; imspe "
                         "and risk_imspe searches also refine until it is met or "
                         "stops improving (default 1e-7)")
-    p.add_argument("--max-iters", type=int, default=20_000, dest="max_iters",
-                   help="cap on the solver's iterations (default 20000)")
     _add_kernel_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=_cmd_optimize)

@@ -33,7 +33,7 @@ constructed and inspected deliberately.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -211,37 +211,12 @@ class BivariateCovariance:
     def cov22(self, h):
         raise NotImplementedError
 
-    def cov(self, i: int, j: int, h):
-        """Covariance between processes ``i`` and ``j`` at distance ``h``."""
-        pair = (i, j)
-        if pair == (1, 1):
-            return self.cov11(h)
-        if pair in ((1, 2), (2, 1)):
-            return self.cov12(h)
-        if pair == (2, 2):
-            return self.cov22(h)
-        raise DomainError(f"process indices must be 1 or 2, got {pair}")
-
     def validity(self) -> "ValidityReport":
         raise NotImplementedError
 
     def reduction_constant(self) -> float | None:
         """Constant ``c`` with ``C12 = c * C11``, or None if there is none."""
         return None
-
-
-def _check_pair_params(sigma11, sigma22, lam, lamc):
-    if not (np.isfinite(sigma11) and sigma11 > 0 and np.isfinite(sigma22) and sigma22 > 0):
-        raise DomainError("variances must be positive and finite")
-    if not (np.isfinite(lam) and 0.0 < lam < 1.0):
-        raise DomainError(f"decay base must lie in (0, 1), got {lam}")
-    if not np.isfinite(lamc):
-        raise DomainError("cross coefficient must be finite")
-
-
-def _basic_pair_checks(m, violations: list[str]):
-    if not (np.isfinite(m.lamc) and abs(m.lamc) < 1.0):
-        violations.append(f"cross coefficient must lie in (-1, 1), got {m.lamc}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +323,43 @@ class Proportional(BivariateCovariance):
 
 
 @dataclass(frozen=True)
-class NS1(BivariateCovariance):
+class _LambdaFamily(BivariateCovariance):
+    """The fixed-correlogram families on ``(sigma11, sigma22, lam, lamc)``.
+
+    ``lam`` is the primary's decay base (``C11 = sigma11 * lam^h`` unless
+    a family overrides ``c11``) and ``lamc`` the cross coefficient, which
+    every such family needs inside (-1, 1).
+    """
+
+    sigma11: float
+    sigma22: float
+    lam: float
+    lamc: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma11) and self.sigma11 > 0
+                and np.isfinite(self.sigma22) and self.sigma22 > 0):
+            raise DomainError("variances must be positive and finite")
+        if not (np.isfinite(self.lam) and 0.0 < self.lam < 1.0):
+            raise DomainError(f"decay base must lie in (0, 1), got {self.lam}")
+        if not np.isfinite(self.lamc):
+            raise DomainError("cross coefficient must be finite")
+
+    @property
+    def c11(self) -> Correlogram:
+        return ExponentialCorrelogram.from_base(self.lam)
+
+    def _violations(self) -> list[str]:
+        if abs(self.lamc) < 1.0:
+            return []
+        return [f"cross coefficient must lie in (-1, 1), got {self.lamc}"]
+
+    def validity(self) -> ValidityReport:
+        return ValidityReport(tuple(self._violations()))
+
+
+@dataclass(frozen=True)
+class NS1(_LambdaFamily):
     """Two-range secondary process over a shared exponential component.
 
     ``C11 = sigma11 * lam^h``, ``C12 = sqrt(sigma11 sigma22) * lamc * lam^h``
@@ -359,19 +370,7 @@ class NS1(BivariateCovariance):
     ``lam^2``.
     """
 
-    sigma11: float
-    sigma22: float
-    lam: float
-    lamc: float
-
     family = "ns1"
-
-    def __post_init__(self):
-        _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
-
-    @property
-    def c11(self) -> Correlogram:
-        return ExponentialCorrelogram.from_base(self.lam)
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -382,26 +381,13 @@ class NS1(BivariateCovariance):
         lc2 = self.lamc**2
         return self.sigma22 * (lc2 * self.lam**hh + (1.0 - lc2) * self.lam ** (2.0 * hh))
 
-    def validity(self) -> ValidityReport:
-        violations: list[str] = []
-        _basic_pair_checks(self, violations)
-        return ValidityReport(tuple(violations))
-
     def reduction_constant(self) -> float | None:
         return self.lamc * math.sqrt(self.sigma22 / self.sigma11)
 
 
 @dataclass(frozen=True)
-class _ProportionalPair(BivariateCovariance):
+class _ProportionalPair(_LambdaFamily):
     """Shared plumbing for the proportional fixed-correlogram families."""
-
-    sigma11: float
-    sigma22: float
-    lam: float
-    lamc: float
-
-    def __post_init__(self):
-        _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
 
     @property
     def sigma12(self) -> float:
@@ -413,11 +399,6 @@ class _ProportionalPair(BivariateCovariance):
     def cov22(self, h):
         return self.sigma22 * self.c11.value(h)
 
-    def validity(self) -> ValidityReport:
-        violations: list[str] = []
-        _basic_pair_checks(self, violations)
-        return ValidityReport(tuple(violations))
-
     def reduction_constant(self) -> float | None:
         return self.sigma12 / self.sigma11
 
@@ -427,10 +408,6 @@ class Mat05(_ProportionalPair):
     """Proportional model on the exponential correlogram ``lam^h``."""
 
     family = "mat05"
-
-    @property
-    def c11(self) -> Correlogram:
-        return ExponentialCorrelogram.from_base(self.lam)
 
 
 @dataclass(frozen=True)
@@ -469,7 +446,7 @@ def _ns2_standard_alpha(lamc: float) -> float | None:
 
 
 @dataclass(frozen=True)
-class NS2(BivariateCovariance):
+class NS2(_LambdaFamily):
     """Exponential margins with a slower-decaying cross covariance.
 
     ``C11 = sigma11 * lam^h``, ``C22 = sigma22 * lam^h`` and
@@ -484,16 +461,12 @@ class NS2(BivariateCovariance):
     every published pairing satisfies it.
     """
 
-    sigma11: float
-    sigma22: float
-    lam: float
-    lamc: float
     alpha: float | None = None
 
     family = "ns2"
 
     def __post_init__(self):
-        _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
+        super().__post_init__()
         alpha = self.alpha
         if alpha is None:
             alpha = _ns2_standard_alpha(self.lamc)
@@ -506,10 +479,6 @@ class NS2(BivariateCovariance):
         elif not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
             raise DomainError(f"cross exponent must lie in (0, 1), got {alpha}")
 
-    @property
-    def c11(self) -> Correlogram:
-        return ExponentialCorrelogram.from_base(self.lam)
-
     def cov12(self, h):
         hh = _as_distance(h)
         root = math.sqrt(self.sigma11 * self.sigma22)
@@ -519,27 +488,29 @@ class NS2(BivariateCovariance):
         hh = _as_distance(h)
         return self.sigma22 * self.lam**hh
 
-    def validity(self) -> ValidityReport:
-        violations: list[str] = []
-        warnings: list[str] = []
-        _basic_pair_checks(self, violations)
+    def _violations(self) -> list[str]:
+        violations = super()._violations()
         if abs(self.lamc) > self.alpha * (1.0 + 1e-12):
             violations.append(
                 f"|lamc| = {abs(self.lamc)} exceeds the cross exponent "
                 f"{self.alpha}: the cross covariance outlives the direct "
                 "ones and the joint model is indefinite"
             )
+        return violations
+
+    def validity(self) -> ValidityReport:
+        warnings: tuple[str, ...] = ()
         std = _ns2_standard_alpha(self.lamc)
         if std is None or abs(std - self.alpha) > 1e-9:
-            warnings.append(
+            warnings = (
                 f"nonstandard pairing (lamc={self.lamc}, alpha={self.alpha}); "
-                "published models use " + repr(NS2_STANDARD_PAIRS)
+                "published models use " + repr(NS2_STANDARD_PAIRS),
             )
-        return ValidityReport(tuple(violations), tuple(warnings))
+        return ValidityReport(tuple(self._violations()), warnings)
 
 
 @dataclass(frozen=True)
-class NS3(BivariateCovariance):
+class NS3(_LambdaFamily):
     """Rough primary, smooth secondary; intermediate cross smoothness.
 
     With ``r = -log(lam)``: ``C11 = sigma11 * exp(-r h)``,
@@ -549,23 +520,11 @@ class NS3(BivariateCovariance):
     Valid iff ``|lamc| <= sqrt(2/3)`` (see ``NS3_CROSS_BOUND``).
     """
 
-    sigma11: float
-    sigma22: float
-    lam: float
-    lamc: float
-
     family = "ns3"
-
-    def __post_init__(self):
-        _check_pair_params(self.sigma11, self.sigma22, self.lam, self.lamc)
 
     @property
     def rate(self) -> float:
         return -math.log(self.lam)
-
-    @property
-    def c11(self) -> Correlogram:
-        return ExponentialCorrelogram(self.rate)
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -577,15 +536,14 @@ class NS3(BivariateCovariance):
         rh = self.rate * hh
         return self.sigma22 * (1.0 + rh + rh**2 / 3.0) * np.exp(-rh)
 
-    def validity(self) -> ValidityReport:
-        violations: list[str] = []
-        _basic_pair_checks(self, violations)
+    def _violations(self) -> list[str]:
+        violations = super()._violations()
         if abs(self.lamc) > NS3_CROSS_BOUND * (1.0 + 1e-12):
             violations.append(
                 f"|lamc| = {abs(self.lamc)} exceeds {NS3_CROSS_BOUND:.6f}, the "
                 "spectral bound for this smoothness combination"
             )
-        return ValidityReport(tuple(violations))
+        return violations
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +552,10 @@ class NS3(BivariateCovariance):
 
 def eval_pair(model: BivariateCovariance, i: int, j: int, h):
     """Covariance ``C_ij`` at distance(s) ``h`` (scalar in, scalar out)."""
-    out = model.cov(i, j, h)
+    pair = {(1, 1): model.cov11, (1, 2): model.cov12, (2, 1): model.cov12, (2, 2): model.cov22}
+    if (i, j) not in pair:
+        raise DomainError(f"process indices must be 1 or 2, got {(i, j)}")
+    out = pair[i, j](h)
     if np.isscalar(h) or np.ndim(h) == 0:
         return float(out)
     return out
@@ -751,51 +712,41 @@ class _Entries:
             raise ParseError(f"unknown key(s): {keys}", lineno)
 
 
+# Every family, by the name its config's ``family`` key gives; a family's
+# config keys are its dataclass fields, in order, with these renames.
+_FAMILIES = {cls.family: cls for cls in (GeneralizedMarkov, Proportional, NS1, Mat05, Mat15,
+                                         MatInf, NS2, NS3)}
+_CONFIG_KEYS = {"lam": "lambda", "lamc": "lambdac", "c_r": "cr"}
+
+
 def parse_config(text: str) -> BivariateCovariance:
     """Build a covariance model from ``key = value`` config text.
 
     The grammar is one ``key = value`` pair per line with ``#``
-    comments; see the command-line module for the full key listing per
-    family.  Unknown or missing keys raise :class:`ParseError` with the
-    offending line number.
+    comments.  After ``family``, a family's keys are its fields in
+    order, with ``lam``, ``lamc`` and ``c_r`` spelled ``lambda``,
+    ``lambdac`` and ``cr``; a correlogram field ``f`` takes ``f.kind``
+    and its parameters, and a field that defaults to None may be
+    omitted.  The command-line module lists the keys per family.
+    Unknown or missing keys raise :class:`ParseError` with the offending
+    line number.
     """
     entries = _Entries(text)
     family = entries.take("family").lower()
+    if family not in _FAMILIES:
+        raise ParseError(f"unknown family '{family}'")
+    cls = _FAMILIES[family]
     try:
-        if family == "generalized-markov":
-            model = GeneralizedMarkov(
-                entries.take_float("sigma11"),
-                entries.take_float("sigma22"),
-                entries.take_float("rho"),
-                entries.take_correlogram("c11"),
-                entries.take_correlogram("cr"),
-            )
-        elif family == "proportional":
-            model = Proportional(
-                entries.take_float("sigma11"),
-                entries.take_float("sigma12"),
-                entries.take_float("sigma22"),
-                entries.take_correlogram("base"),
-            )
-        elif family in ("ns1", "mat05", "mat15", "matinf", "ns3"):
-            cls = {"ns1": NS1, "mat05": Mat05, "mat15": Mat15,
-                   "matinf": MatInf, "ns3": NS3}[family]
-            model = cls(
-                entries.take_float("sigma11"),
-                entries.take_float("sigma22"),
-                entries.take_float("lambda"),
-                entries.take_float("lambdac"),
-            )
-        elif family == "ns2":
-            model = NS2(
-                entries.take_float("sigma11"),
-                entries.take_float("sigma22"),
-                entries.take_float("lambda"),
-                entries.take_float("lambdac"),
-                entries.take_optional_float("alpha"),
-            )
-        else:
-            raise ParseError(f"unknown family '{family}'")
+        values = []
+        for f in fields(cls):
+            key = _CONFIG_KEYS.get(f.name, f.name)
+            if f.type is Correlogram:
+                values.append(entries.take_correlogram(key))
+            elif f.default is None:
+                values.append(entries.take_optional_float(key))
+            else:
+                values.append(entries.take_float(key))
+        model = cls(*values)
     except DomainError as exc:
         raise ParseError(f"invalid parameters for family '{family}': {exc}") from exc
     entries.finish()
@@ -804,28 +755,13 @@ def parse_config(text: str) -> BivariateCovariance:
 
 def format_config(model: BivariateCovariance) -> str:
     """Serialize a model to the config text accepted by ``parse_config``."""
-    lines: list[str]
-    if isinstance(model, GeneralizedMarkov):
-        lines = ["family = generalized-markov",
-                 f"sigma11 = {model.sigma11!r}",
-                 f"sigma22 = {model.sigma22!r}",
-                 f"rho = {model.rho!r}"]
-        lines += _format_correlogram("c11", model.c11)
-        lines += _format_correlogram("cr", model.c_r)
-    elif isinstance(model, Proportional):
-        lines = ["family = proportional",
-                 f"sigma11 = {model.sigma11!r}",
-                 f"sigma12 = {model.sigma12!r}",
-                 f"sigma22 = {model.sigma22!r}"]
-        lines += _format_correlogram("base", model.base)
-    elif isinstance(model, (NS1, Mat05, Mat15, MatInf, NS2, NS3)):
-        lines = [f"family = {model.family}",
-                 f"sigma11 = {model.sigma11!r}",
-                 f"sigma22 = {model.sigma22!r}",
-                 f"lambda = {model.lam!r}",
-                 f"lambdac = {model.lamc!r}"]
-        if isinstance(model, NS2):
-            lines.append(f"alpha = {model.alpha!r}")
-    else:
+    if model.family not in _FAMILIES:
         raise DomainError(f"cannot serialize model {model!r}")
+    lines = [f"family = {model.family}"]
+    for f in fields(_FAMILIES[model.family]):
+        key, value = _CONFIG_KEYS.get(f.name, f.name), getattr(model, f.name)
+        if f.type is Correlogram:
+            lines += _format_correlogram(key, value)
+        else:
+            lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"

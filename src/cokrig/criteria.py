@@ -245,9 +245,7 @@ def smspe_numeric(
         )
     offsets = np.append(np.linspace(0.0, 1.0, grid_points_per_interval), 0.5)[:, None]
     x0 = design.points[:-1] + offsets * design.gaps
-    vals, cross = kern._pointwise(design, kernel.theta, x0)
-    if model == "ordinary":
-        vals = vals + cross**2 / kern.ones_quadratic_form(design, kernel.theta)
+    vals = kern._pointwise(design, kernel.theta, x0, model == "ordinary")[0]
     return kernel.sigma11 * float(vals.max())
 
 

@@ -119,7 +119,7 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     criteria Schur-convex.
     """
     theta = _check_theta(theta)
-    return 1.0 + float(np.sum(_interval_terms(theta, design.gaps, "smspe", "simple")[0]))
+    return 1.0 + float(np.sum(np.tanh(0.5 * theta * design.gaps)))
 
 
 def _piecewise(x, small, direct, coefs, power: int):
@@ -201,15 +201,19 @@ def _bracket(design: Design, x0) -> np.ndarray:
     return np.minimum(np.maximum(x0, design.x_start), design.x_end)
 
 
-def _pointwise(design: Design, theta: float, x0, weights: bool = False) -> tuple:
-    """``1 - sigma0' P^{-1} sigma0`` and ``1 - 1' P^{-1} sigma0`` at targets.
+def _pointwise(design: Design, theta: float, x0, ordinary: bool = False,
+               weights: bool = False) -> tuple:
+    """Unit-variance kriging error at targets, and ``1 - 1' P^{-1} sigma0``.
 
-    Both are products over the bracketing sites at distances ``a`` and
-    ``b`` (see ``predict.mspe_closed_form``), taken through ``expm1`` so
-    that neither cancels; both are exactly 0 at a site.  With
-    ``weights``, also the bracketing interval ``i`` and the only nonzero
-    entries of ``P^{-1} sigma0``, ``sinh(theta b) / sinh(theta d)`` at
-    ``x_i`` and ``sinh(theta a) / sinh(theta d)`` at ``x_{i+1}``.
+    The simple error ``1 - sigma0' P^{-1} sigma0`` and the cross form are
+    products over the bracketing sites at distances ``a`` and ``b`` (see
+    ``predict.mspe_closed_form``), taken through ``expm1`` so that neither
+    cancels; both are exactly 0 at a site.  ``ordinary`` adds ``cross^2 /
+    q0``, ``q0 = 1' P^{-1} 1 = 1 + sum_j t_j`` with ``t_j = tanh(theta d_j
+    / 2)``.  With ``weights``, also the weights at a scalar target:
+    ``sinh(theta b) / sinh(theta d)`` and ``sinh(theta a) / sinh(theta d)``
+    on the bracketing sites, plus for ``ordinary`` ``P^{-1} 1 = (t_{j-1} +
+    t_j) / 2`` (``t_0 = t_n = 1``) times ``cross / q0``.
     """
     if design.n < 2:
         raise DomainError("need at least two sites to bracket a target")
@@ -223,19 +227,20 @@ def _pointwise(design: Design, theta: float, x0, weights: bool = False) -> tuple
             "in a bracketing interval"
         )
     ea, eb, ed = np.expm1(-2.0 * theta * a), np.expm1(-2.0 * theta * b), np.expm1(-2.0 * theta * d)
-    simple = ea * eb / -ed
+    err = ea * eb / -ed
     cross = np.expm1(-theta * a) * np.expm1(-theta * b) / (1.0 + np.exp(-theta * d))
+    if ordinary:
+        t = np.tanh(0.5 * theta * design.gaps)
+        q0 = 1.0 + float(np.sum(t))
+        err = err + cross**2 / q0
     if not weights:
-        return simple, cross
-    return simple, cross, i, np.exp(-theta * a) * eb / ed, np.exp(-theta * b) * ea / ed
-
-
-def _precision_row_sums(design: Design, theta: float) -> np.ndarray:
-    """``P^{-1} 1`` in closed form: ``(t_{j-1} + t_j) / 2`` with
-    ``t_j = tanh(theta d_j / 2)`` and ``t_0 = t_n = 1``; it sums to
-    ``ones_quadratic_form``."""
-    t = np.concatenate(([1.0], np.tanh(0.5 * theta * design.gaps), [1.0]))
-    return 0.5 * (t[:-1] + t[1:])
+        return err, cross
+    w = np.zeros(design.n)
+    w[i], w[i + 1] = np.exp(-theta * a) * eb / ed, np.exp(-theta * b) * ea / ed
+    if ordinary:
+        t = np.concatenate(([1.0], t, [1.0]))
+        w += 0.5 * (t[:-1] + t[1:]) * (cross / q0)
+    return err, cross, w
 
 
 def quad_forms_at(design: Design, theta: float, x0: float) -> tuple[float, float]:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as spopt
 
 from .design import Design
 from .exceptions import ConditioningError, DomainError
@@ -181,6 +180,8 @@ def fit_mle(design: Design, z1, z2, standardize: bool = True) -> MleFit:
     ``standardize`` centers and scales each variable first, in which
     case the returned variances refer to the standardized data.
     """
+    from scipy import optimize as spopt
+
     if design.n < 4:
         raise DomainError(f"need at least 4 sites to fit, got {design.n}")
     z1, z2 = _as_replicates(design.n, z1, z2)

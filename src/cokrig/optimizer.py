@@ -26,7 +26,6 @@ minimizers independently for ``n <= 4``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import criteria as crit
 from . import kernel as kern
@@ -50,6 +49,9 @@ OPTIMIZER_SEED = 20240601
 
 # Lower bound on every gap during the solve.
 _MIN_GAP = 1e-12
+
+# Cap on SLSQP's iterations.
+_MAX_ITERS = 20_000
 
 # SLSQP's stopping tolerance on the change of the scaled objective; this
 # small, the solve stops only when it can make no further progress.
@@ -81,7 +83,7 @@ class OptimizationProblem:
     residual (see ``OptimizationResult``) of a converged result; for
     ``imspe``/``risk_imspe`` the solve's Newton polish also runs until the
     residual is within it or stops falling, while the supremum criteria's
-    solve does not depend on it.  ``max_iters`` caps SLSQP's iterations.
+    solve does not depend on it.
     """
 
     n: int
@@ -90,7 +92,6 @@ class OptimizationProblem:
     kernel: ExponentialKernel | None = None
     prior: ThetaPrior | None = None
     tolerance: float = 1e-7
-    max_iters: int = 20_000
 
     def __post_init__(self):
         if self.n < 2:
@@ -107,8 +108,6 @@ class OptimizationProblem:
                 raise DomainError(f"criterion {self.criterion!r} takes a kernel, not a prior")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iters < 100:
-            raise DomainError(f"max_iters must be at least 100, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,8 @@ def _solve(problem: OptimizationProblem, fn, epigraph: bool):
     the search stopped, their optimality residual and SciPy's reason for
     stopping.
     """
+    from scipy import optimize as sciopt
+
     k = problem.n - 1
     w = np.exp(np.random.default_rng(OPTIMIZER_SEED).normal(0.0, 1.0, k))
     start = w / w.sum()
@@ -197,7 +198,7 @@ def _solve(problem: OptimizationProblem, fn, epigraph: bool):
     unit_sum = {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
                 "jac": lambda z: np.append(np.ones(k), np.zeros(z.size - k))}
     bounds = [(_MIN_GAP, 1.0)] * k
-    options = dict(maxiter=problem.max_iters, ftol=_FTOL)
+    options = dict(maxiter=_MAX_ITERS, ftol=_FTOL)
     if epigraph:
         # minimize t subject to t >= every scaled term
         above = {"type": "ineq", "fun": lambda z: z[k] - scale * fn(z[:k])}

@@ -23,7 +23,6 @@ No pseudo-inverse is used anywhere: a factorization failure raises
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import kernel as kern
 from .covmodel import (BivariateCovariance, Correlogram, ExponentialCorrelogram, _require_valid,
@@ -86,6 +85,8 @@ def _blup(cov: np.ndarray, cov0: np.ndarray, var0: float, drift: np.ndarray | No
     carries an unknown constant mean; the first is the target's own, so
     its weights sum to one and the others' to zero.
     """
+    from scipy import linalg
+
     rhs = cov0 if drift is None else np.column_stack([cov0, drift])
     try:
         sol = linalg.cho_solve(linalg.cho_factor(cov, lower=True), rhs)
@@ -137,10 +138,7 @@ def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str =
         raise DomainError("closed-form errors require an ExponentialKernel")
     if model not in ("simple", "ordinary"):
         raise DomainError(f"model must be 'simple' or 'ordinary', got {model!r}")
-    err, cross = kern._pointwise(design, kernel.theta, x0)
-    if model == "ordinary":
-        err = err + cross**2 / kern.ones_quadratic_form(design, kernel.theta)
-    err = kernel.sigma11 * err
+    err = kernel.sigma11 * kern._pointwise(design, kernel.theta, x0, model == "ordinary")[0]
     return float(err) if err.ndim == 0 else err
 
 
@@ -155,14 +153,7 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
     else:
         sigma11, corr = _check_pair(kernel)
     if isinstance(corr, ExponentialCorrelogram) and design.n > 1:  # one site has no bracket
-        theta = corr.rate
-        err, cross, i, left, right = kern._pointwise(design, theta, float(x0), weights=True)
-        weights = np.zeros(design.n)
-        weights[i], weights[i + 1] = left, right
-        if ordinary:
-            q0 = kern.ones_quadratic_form(design, theta)
-            weights += kern._precision_row_sums(design, theta) * (cross / q0)
-            err = err + cross**2 / q0
+        err, _, weights = kern._pointwise(design, corr.rate, float(x0), ordinary, weights=True)
         mspe = sigma11 * float(err)
     else:
         x0 = float(kern._bracket(design, x0))

@@ -1,6 +1,7 @@
 """Covariance families: closed-form values, validity, reduction, config."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -198,6 +199,9 @@ def test_eval_pair_rejects_bad_indices():
         eval_pair(m, 0, 1, 0.5)
     with pytest.raises(DomainError):
         eval_pair(m, 1, 3, 0.5)
+    for model in ROUND_TRIP_MODELS:
+        with pytest.raises(DomainError, match="process indices must be 1 or 2"):
+            eval_pair(model, 1, 3, np.array([0.1, 0.2]))
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +218,24 @@ def test_pair_families_reject_bad_decay_base(lam):
 def test_pair_families_reject_bad_variances(s11, s22):
     with pytest.raises(DomainError):
         NS1(s11, s22, 0.5, 0.2)
+
+
+LAMBDA_FAMILIES = (NS1, Mat05, Mat15, MatInf, NS2, NS3)
+
+
+@pytest.mark.parametrize("cls", LAMBDA_FAMILIES, ids=lambda c: c.__name__)
+def test_lambda_families_share_parameter_checks(cls):
+    with pytest.raises(DomainError, match=r"^variances must be positive and finite$"):
+        cls(1.0, 0.0, 0.5, 0.2)
+    with pytest.raises(DomainError, match=r"^variances must be positive and finite$"):
+        cls(math.nan, 1.0, 0.5, 0.2)
+    with pytest.raises(DomainError, match=r"^decay base must lie in \(0, 1\), got 1.5$"):
+        cls(1.0, 1.0, 1.5, 0.2)
+    with pytest.raises(DomainError, match=r"^cross coefficient must be finite$"):
+        cls(1.0, 1.0, 0.5, math.inf)
+    extra = {"alpha": 0.5} if cls is NS2 else {}
+    report = validate(cls(1.0, 1.0, 0.5, -1.5, **extra))
+    assert report.violations[0] == "cross coefficient must lie in (-1, 1), got -1.5"
 
 
 def test_ns2_requires_alpha_for_nonstandard_coefficient():
@@ -528,6 +550,30 @@ def test_config_round_trip(model):
     assert parse_config(format_config(model)) == model
 
 
+# format_config's text for each of ROUND_TRIP_MODELS, byte for byte
+ROUND_TRIP_TEXTS = [
+    "family = generalized-markov\nsigma11 = 0.85\nsigma22 = 0.94\nrho = 0.25\n"
+    "c11.kind = exponential\nc11.theta = 17.12\ncr.kind = nugget\n",
+    "family = generalized-markov\nsigma11 = 1.0\nsigma22 = 2.0\nrho = -0.4\n"
+    "c11.kind = exponential\nc11.theta = 3.0\ncr.kind = matern15\ncr.lambda = 0.3\n",
+    "family = proportional\nsigma11 = 1.5\nsigma12 = -0.6\nsigma22 = 2.0\n"
+    "base.kind = squared-exponential\nbase.lambda = 0.4\n",
+    "family = ns1\nsigma11 = 1.0\nsigma22 = 2.0\nlambda = 0.5\nlambdac = 0.3\n",
+    "family = mat05\nsigma11 = 1.0\nsigma22 = 1.0\nlambda = 0.37\nlambdac = 0.2\n",
+    "family = mat15\nsigma11 = 2.0\nsigma22 = 0.5\nlambda = 0.61\nlambdac = -0.44\n",
+    "family = matinf\nsigma11 = 1.0\nsigma22 = 1.0\nlambda = 0.5\nlambdac = 0.8\n",
+    "family = ns2\nsigma11 = 1.0\nsigma22 = 1.0\nlambda = 0.5\nlambdac = 0.5\nalpha = 0.75\n",
+    "family = ns2\nsigma11 = 1.0\nsigma22 = 1.0\nlambda = 0.5\nlambdac = 0.3\nalpha = 0.6\n",
+    "family = ns3\nsigma11 = 1.0\nsigma22 = 1.0\nlambda = 0.37\nlambdac = 0.2\n",
+]
+
+
+@pytest.mark.parametrize("model,text", zip(ROUND_TRIP_MODELS, ROUND_TRIP_TEXTS),
+                         ids=[f"{type(m).__name__}-{i}" for i, m in enumerate(ROUND_TRIP_MODELS)])
+def test_format_config_text(model, text):
+    assert format_config(model) == text
+
+
 def test_parse_config_comments_and_case():
     text = """
     # primary process setup
@@ -575,6 +621,16 @@ def test_parse_config_structural_errors():
         parse_config("family = mat05\nsigma11 = 1\nsigma22 = 1\nlambda = 0.5\n")
     with pytest.raises(ParseError, match="unknown family"):
         parse_config("family = kitchen-sink\n")
+    # missing keys are reported in the order of the family's fields
+    with pytest.raises(ParseError, match="missing required key 'sigma11'"):
+        parse_config("family = ns2\nlambdac = 0.5\n")
+    with pytest.raises(ParseError, match="missing required key 'lambdac'"):
+        parse_config("family = ns2\nsigma11 = 1\nsigma22 = 1\nlambda = 0.5\n")
+    gm = "family = generalized-markov\nsigma11 = 1\nsigma22 = 1\nrho = 0.5\n"
+    with pytest.raises(ParseError, match="missing required key 'c11.kind'"):
+        parse_config(gm)
+    with pytest.raises(ParseError, match="missing required key 'cr.kind'"):
+        parse_config(gm + "c11.kind = nugget\n")
 
 
 def test_parse_config_correlogram_errors():
@@ -595,6 +651,15 @@ def test_parse_config_wraps_domain_errors():
             "lambda = 0.5\nlambdac = 0.2\n")
     with pytest.raises(ParseError, match="invalid parameters"):
         parse_config(text)
+
+
+def test_format_config_refuses_an_unregistered_family():
+    @dataclass(frozen=True)
+    class Custom(NS1):
+        family = "custom"
+
+    with pytest.raises(DomainError, match="cannot serialize model"):
+        format_config(Custom(1.0, 1.0, 0.5, 0.2))
 
 
 def test_format_config_ends_with_newline():

@@ -357,18 +357,19 @@ def test_relative_efficiency_basics():
 # cost of the package itself
 # --------------------------------------------------------------------------
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only the imspe_numeric oracle needs scipy.integrate; it loads it itself
+def test_import_leaves_scipy_unloaded():
+    # the dense solves, the optimizer, the fit and the imspe_numeric oracle
+    # each load the part of SciPy they call
     import cokrig
 
     src = str(Path(cokrig.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cokrig; print('scipy.integrate' in sys.modules)"],
+         "import sys, cokrig; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_risk_quadrature_memory_does_not_grow_with_sites():

@@ -65,8 +65,6 @@ def test_problem_validation():
         OptimizationProblem(3, "smspe", kernel=KERN, prior=PRIOR)
     with pytest.raises(DomainError):
         OptimizationProblem(3, "smspe", kernel=KERN, tolerance=0.0)
-    with pytest.raises(DomainError):
-        OptimizationProblem(3, "smspe", kernel=KERN, max_iters=10)
 
 
 def test_evaluate_criterion_dispatch(xi0):

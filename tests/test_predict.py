@@ -366,7 +366,7 @@ def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):
 
     monkeypatch.setattr(cokrig.kernel, "precision_matrix", refuse)
     monkeypatch.setattr(cokrig.predict, "build_joint_covariance", refuse)
-    monkeypatch.setattr(cokrig.predict.linalg, "cho_factor", refuse)
+    monkeypatch.setattr(cokrig.predict, "_blup", refuse)
     n = 10**5
     design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=1e-7)))
     kern = ExponentialKernel(17.12, 0.85)
@@ -386,6 +386,21 @@ def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):
             assert co.value == kr.value and co.mspe == kr.mspe
             assert np.array_equal(co.weights, np.concatenate([kr.weights, np.zeros(n)]))
         assert float(kr.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ordinary_markov_target_takes_tanh_once(monkeypatch):
+    # the unknown-mean term and the P^{-1} 1 weights share one tanh per gap
+    calls = []
+    tanh = np.tanh
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return tanh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    out = ordinary_krige(ExponentialKernel(17.12), equispaced(17), np.ones(17), 0.37)
+    assert calls == [(16,)]
+    assert out.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonproportional_cross_beats_kriging():
