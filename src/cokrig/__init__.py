@@ -46,11 +46,13 @@ from .covmodel import (
 )
 from .criteria import (
     CriterionReport,
+    RiskReport,
     ThetaPrior,
     imspe,
     imspe_numeric,
     relative_efficiency,
     risk_imspe,
+    risk_report,
     risk_smspe,
     smspe,
     smspe_numeric,
@@ -122,7 +124,8 @@ __all__ = [
     "simple_cokrige", "ordinary_cokrige", "mspe_closed_form",
     # criteria
     "ThetaPrior", "CriterionReport", "smspe", "imspe", "smspe_numeric",
-    "imspe_numeric", "risk_smspe", "risk_imspe", "relative_efficiency",
+    "imspe_numeric", "risk_smspe", "risk_imspe", "RiskReport", "risk_report",
+    "relative_efficiency",
     # optimization
     "OptimizationProblem", "OptimizationResult", "optimize",
     "evaluate_criterion", "brute_force_min",

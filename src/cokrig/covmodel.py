@@ -565,14 +565,19 @@ def build_joint_covariance(model: BivariateCovariance, design: Design) -> np.nda
     """Dense ``2n x 2n`` covariance of the stacked vector ``(Z1, Z2)``.
 
     Ordering is all primary observations first, then all secondary
-    ones, matching the layout used by the cokriging solvers.
+    ones, matching the layout used by the cokriging solvers.  The
+    lower-left block is the upper-right one transposed, so the matrix is
+    exactly symmetric (``predict._blup`` factors its transpose in place).
     """
-    pts = design.points
-    H = np.abs(pts[:, None] - pts[None, :])
-    k11 = np.asarray(model.cov11(H), dtype=float)
-    k12 = np.asarray(model.cov12(H), dtype=float)
-    k22 = np.asarray(model.cov22(H), dtype=float)
-    return np.block([[k11, k12], [k12.T, k22]])
+    pts, n = design.points, design.n
+    h = np.subtract.outer(pts, pts)
+    np.abs(h, out=h)
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = model.cov11(h)
+    out[:n, n:] = model.cov12(h)
+    out[n:, :n] = out[:n, n:].T
+    out[n:, n:] = model.cov22(h)
+    return out
 
 
 def build_cross_vector(

@@ -28,7 +28,13 @@ Bayes risks average a criterion over a prior on ``theta`` and scale by
 the prior mean of ``sigma11`` (criteria are linear in the variance).
 The uniform-prior simple-model risks integrate in closed form, through
 ``log cosh`` and ``log(sinh x / x)``; all other combinations use
-Gauss-Legendre quadrature with node doubling.
+Gauss-Legendre quadrature on each segment of the prior, starting at 8
+nodes and doubling until two successive estimates agree to a relative
+``RISK_QUAD_TOL``.  The integrands are analytic in ``theta`` on each
+segment, so the rule converges geometrically: on the paper's prior the
+8- and 16-node estimates already agree, 24 rate evaluations in all.
+``risk_report`` returns a risk with the nodes it took and the last
+doubling difference.
 """
 
 import math
@@ -51,14 +57,17 @@ __all__ = [
     "imspe_numeric",
     "risk_smspe",
     "risk_imspe",
+    "RiskReport",
+    "risk_report",
     "relative_efficiency",
 ]
 
 MODELS = ("simple", "ordinary")
 
-# Gauss-Legendre node counts tried by the risk quadrature: start at 64
-# and double until two successive estimates agree to RISK_QUAD_TOL.
-RISK_QUAD_START = 64
+# Gauss-Legendre node counts tried by the risk quadrature on each prior
+# segment: start at 8 and double until two successive estimates agree to
+# RISK_QUAD_TOL relative to the newer one, or fail beyond RISK_QUAD_MAX.
+RISK_QUAD_START = 8
 RISK_QUAD_MAX = 4096
 RISK_QUAD_TOL = 1e-9
 
@@ -313,18 +322,22 @@ def _prior_rule(prior: ThetaPrior, m: int):
     return rules
 
 
-def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
+def _prior_quadrature(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
     """Average the unit-variance criterion over the prior.
 
     Gauss-Legendre quadrature on each segment of the prior, doubling the
-    node count until two successive estimates agree to
-    ``RISK_QUAD_TOL``.  The nodes are evaluated in blocks of at most
+    node count from ``RISK_QUAD_START`` until two successive estimates
+    differ by at most ``RISK_QUAD_TOL`` times the newer one's largest
+    entry.  The nodes are evaluated in blocks of at most
     ``_RISK_QUAD_BLOCK`` terms.  With ``terms=True`` the per-interval
     terms are averaged instead, giving one average per gap.
+
+    Returns the average, the number of rates evaluated over all rules and
+    segments, and the sum over segments of the last doubling difference.
     """
     block = max(1, _RISK_QUAD_BLOCK // gaps.size)
     pick = 0 if terms else 1
-    total = 0.0
+    total, nodes, error = 0.0, 0, 0.0
     for seg in range(len(_prior_rule(prior, RISK_QUAD_START))):
         m = RISK_QUAD_START
         prev = None
@@ -333,17 +346,26 @@ def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str, terms: b
             est = sum(weights[j:j + block] @ kern._interval_terms(
                 thetas[j:j + block], gaps, criterion, model, terms=terms)[pick]
                 for j in range(0, m, block))
-            if prev is not None and np.max(np.abs(est - prev)) < RISK_QUAD_TOL:
-                total += est
-                break
+            nodes += m
+            if prev is not None:
+                diff = float(np.max(np.abs(est - prev)))
+                if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
+                    total += est
+                    error += diff
+                    break
             if m >= RISK_QUAD_MAX:
                 raise NumericError(
-                    f"risk quadrature did not stabilize to {RISK_QUAD_TOL} "
+                    f"risk quadrature did not stabilize to a relative {RISK_QUAD_TOL} "
                     f"within {RISK_QUAD_MAX} nodes on segment {seg} of the prior"
                 )
             prev = est
             m *= 2
-    return total if terms else float(total)
+    return (total if terms else float(total)), nodes, error
+
+
+def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
+    """The average alone of :func:`_prior_quadrature`."""
+    return _prior_quadrature(prior, criterion, gaps, model, terms)[0]
 
 
 def _log_cosh(y: float) -> float:
@@ -359,8 +381,24 @@ def _log_sinhc(x):
                            - np.log(2.0 * x), _SINHC_SERIES, 2)
 
 
-def _risk(criterion: str, prior: ThetaPrior, gaps, model: str) -> float:
+@dataclass(frozen=True)
+class RiskReport:
+    """A Bayes risk with the work its prior quadrature took.
+
+    ``nodes`` counts the rates at which the criterion was evaluated, over
+    every Gauss-Legendre rule tried and every segment of the prior;
+    ``error`` is the last doubling difference, summed over the segments
+    and scaled like ``value``.  Both are 0 for the closed forms.
+    """
+
+    value: float
+    nodes: int
+    error: float
+
+
+def _risk(criterion: str, prior: ThetaPrior, gaps, model: str) -> RiskReport:
     """Bayes risk on a unit-sum gap vector; also the optimizer's objective."""
+    nodes, error = 0, 0.0
     if model == "simple" and prior.kind == "uniform":
         t1, t2 = prior.theta1, prior.theta2
         if criterion == "smspe":
@@ -370,8 +408,8 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str) -> float:
             s1, s2 = _log_sinhc(np.multiply.outer((t1, t2), gaps)).sum(axis=-1)
             value = float(s2 - s1) / (t2 - t1)
     else:
-        value = _prior_average(prior, criterion, gaps, model)
-    return prior.e_sigma11 * value
+        value, nodes, error = _prior_quadrature(prior, criterion, gaps, model)
+    return RiskReport(prior.e_sigma11 * value, nodes, prior.e_sigma11 * error)
 
 
 def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
@@ -385,10 +423,7 @@ def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
     with ``d`` the widest gap.  Everything else goes through the prior
     quadrature.
     """
-    prior = _check_prior(prior)
-    model = _check_model(model)
-    _require_unit(design)
-    return _risk("smspe", prior, design.gaps, model)
+    return risk_report("smspe", prior, design, model).value
 
 
 def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
@@ -402,10 +437,20 @@ def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
 
     Everything else goes through the prior quadrature.
     """
+    return risk_report("imspe", prior, design, model).value
+
+
+def risk_report(criterion: str, prior: ThetaPrior, design: Design,
+                model: str = "simple") -> RiskReport:
+    """``risk_smspe`` (``criterion="smspe"``) or ``risk_imspe``
+    (``"imspe"``), with the nodes and the doubling difference of its
+    prior quadrature."""
+    if criterion not in ("smspe", "imspe"):
+        raise DomainError(f"criterion must be 'smspe' or 'imspe', got {criterion!r}")
     prior = _check_prior(prior)
     model = _check_model(model)
     _require_unit(design)
-    return _risk("imspe", prior, design.gaps, model)
+    return _risk(criterion, prior, design.gaps, model)
 
 
 def relative_efficiency(reference_value: float, candidate_value: float) -> float:

@@ -235,11 +235,18 @@ def _pointwise(design: Design, theta: float, x0, ordinary: bool = False,
         err = err + cross**2 / q0
     if not weights:
         return err, cross
-    w = np.zeros(design.n)
-    w[i], w[i + 1] = np.exp(-theta * a) * eb / ed, np.exp(-theta * b) * ea / ed
     if ordinary:
-        t = np.concatenate(([1.0], t, [1.0]))
-        w += 0.5 * (t[:-1] + t[1:]) * (cross / q0)
+        w = np.empty(design.n)
+        w[:-1] = t
+        w[-1] = 1.0
+        w[1:] += t
+        w[0] += 1.0
+        w *= 0.5
+        w *= cross / q0
+    else:
+        w = np.zeros(design.n)
+    w[i] += np.exp(-theta * a) * eb / ed
+    w[i + 1] += np.exp(-theta * b) * ea / ed
     return err, cross, w
 
 

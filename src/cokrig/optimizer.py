@@ -153,7 +153,7 @@ def _gap_values_fn(problem: OptimizationProblem):
     criterion, model = problem.criterion, problem.model
     if problem.prior is not None:
         prior, base = problem.prior, criterion.removeprefix("risk_")
-        return lambda g: crit._risk(base, prior, g, model)
+        return lambda g: crit._risk(base, prior, g, model).value
     theta, s11 = problem.kernel.theta, problem.kernel.sigma11
     return lambda g: s11 * float(kern._interval_terms(theta, g, criterion, model, terms=False)[1])
 

@@ -84,12 +84,16 @@ def _blup(cov: np.ndarray, cov0: np.ndarray, var0: float, drift: np.ndarray | No
     the target and ``var0`` the target's variance.  Each ``drift`` column
     carries an unknown constant mean; the first is the target's own, so
     its weights sum to one and the others' to zero.
+
+    ``cov`` is factored in place: it must be an exactly symmetric array
+    the caller no longer needs, whose transpose is then the
+    Fortran-ordered matrix LAPACK works on without a copy.
     """
     from scipy import linalg
 
     rhs = cov0 if drift is None else np.column_stack([cov0, drift])
     try:
-        sol = linalg.cho_solve(linalg.cho_factor(cov, lower=True), rhs)
+        sol = linalg.cho_solve(linalg.cho_factor(cov.T, lower=True, overwrite_a=True), rhs)
     except linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance matrix is not positive definite: {exc}") from exc
     if drift is None:

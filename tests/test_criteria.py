@@ -22,6 +22,7 @@ from cokrig import (
     mspe_closed_form,
     relative_efficiency,
     risk_imspe,
+    risk_report,
     risk_smspe,
     smspe,
     smspe_numeric,
@@ -321,6 +322,61 @@ def test_risk_validation(xi0):
         risk_smspe(ExponentialKernel(2.0), xi0)
     with pytest.raises(DomainError):
         risk_imspe(ThetaPrior.uniform(1.0, 2.0), xi0, "universal")
+
+
+PAPER_PRIOR = ThetaPrior.uniform(12.12, 22.12)
+
+
+@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
+@pytest.mark.parametrize("n", [17, 10**5])
+def test_risk_report_paper_prior_takes_the_8_and_16_node_rules(criterion, n):
+    design = equispaced(n)
+    report = risk_report(criterion, PAPER_PRIOR, design, "ordinary")
+    fn = risk_smspe if criterion == "smspe" else risk_imspe
+    assert report.value == fn(PAPER_PRIOR, design, "ordinary")
+    assert report.nodes == 8 + 16
+    assert 0.0 <= report.error <= crit.RISK_QUAD_TOL * report.value
+
+
+@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
+def test_risk_report_closed_forms_take_no_nodes(criterion, xi0):
+    prior = ThetaPrior.uniform(12.12, 22.12, e_sigma11=0.85)
+    fn = risk_smspe if criterion == "smspe" else risk_imspe
+    report = risk_report(criterion, prior, xi0, "simple")
+    assert (report.value, report.nodes, report.error) == (fn(prior, xi0), 0, 0.0)
+
+
+def test_risk_report_wide_prior_doubles_past_16_nodes():
+    report = risk_report("imspe", ThetaPrior.uniform(0.01, 1000.0), equispaced(17), "ordinary")
+    assert report.nodes > 24
+    assert report.error <= crit.RISK_QUAD_TOL * report.value
+
+
+def test_risk_quadrature_stops_on_the_relative_difference():
+    # on this 1000-site design the 8- and 16-node rules differ by 9e-10,
+    # within an absolute 1e-9 but 3e-9 relative: the rule must double on
+    gaps = np.random.default_rng(5).dirichlet(np.ones(999))
+    design = Design(0.0, 1.0, tuple(gaps))
+    report = risk_report("imspe", ThetaPrior.uniform(0.01, 1000.0), design, "ordinary")
+    assert report.nodes > 24
+    assert report.error <= crit.RISK_QUAD_TOL * report.value
+
+
+def test_risk_report_zero_density_segment_stops():
+    # a segment whose density is zero averages to exactly 0 at every rule
+    prior = ThetaPrior.tabulated([1.0, 5.0, 15.0, 25.0], [0.0, 0.0, 0.1, 0.0])
+    report = risk_report("smspe", prior, equispaced(17), "ordinary")
+    assert report.nodes == 3 * 24
+    assert report.value == risk_smspe(prior, equispaced(17), "ordinary") > 0.0
+
+
+def test_risk_report_validation(xi0):
+    with pytest.raises(DomainError):
+        risk_report("risk_smspe", PAPER_PRIOR, xi0)
+    with pytest.raises(DomainError):
+        risk_report("smspe", ExponentialKernel(2.0), xi0)
+    with pytest.raises(DomainError):
+        risk_report("imspe", PAPER_PRIOR, xi0, "universal")
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cokrig import kernel as kern
 from cokrig import (
     ConditioningError,
     Design,
@@ -197,3 +198,39 @@ def test_quad_forms_random_triples_match_dense(rng):
         ds, dc = oracles.dense_quad_forms(design.points, theta, x0)
         assert abs(s_quad - ds) <= 1e-9
         assert abs(cross - dc) <= 1e-9
+
+
+
+# --------------------------------------------------------------------------
+# kriging weights at a target
+# --------------------------------------------------------------------------
+
+def _concatenated_weights(design, theta, x0, ordinary):
+    """The weights as first written: the bracket weights in a zero vector,
+    then ``P^{-1} 1 = (t_{j-1} + t_j) / 2``, padded by concatenation, times
+    ``cross / q0``."""
+    pts = design.points
+    i = min(int(np.searchsorted(pts, x0, side="right")) - 1, design.n - 2)
+    a, b, d = x0 - pts[i], pts[i + 1] - x0, pts[i + 1] - pts[i]
+    ea, eb, ed = np.expm1(-2.0 * theta * a), np.expm1(-2.0 * theta * b), np.expm1(-2.0 * theta * d)
+    cross = np.expm1(-theta * a) * np.expm1(-theta * b) / (1.0 + np.exp(-theta * d))
+    w = np.zeros(design.n)
+    w[i], w[i + 1] = np.exp(-theta * a) * eb / ed, np.exp(-theta * b) * ea / ed
+    if ordinary:
+        t = np.tanh(0.5 * theta * design.gaps)
+        q0 = 1.0 + float(np.sum(t))
+        t = np.concatenate(([1.0], t, [1.0]))
+        w += 0.5 * (t[:-1] + t[1:]) * (cross / q0)
+    return w
+
+
+@pytest.mark.parametrize("n", [3, 17, 10**3, 10**5])
+def test_pointwise_weights_filled_in_place_are_bit_identical(n, rng):
+    gaps = rng.uniform(0.5, 1.5, n - 1)
+    design = Design(0.0, 1.0, tuple(gaps / gaps.sum()))
+    for theta in (1e-3, 0.5, 17.12, 300.0):
+        for x0 in [0.0, 1.0, float(design.points[n // 2])] + list(rng.uniform(0.0, 1.0, 3)):
+            for ordinary in (False, True):
+                w = kern._pointwise(design, theta, x0, ordinary, weights=True)[2]
+                want = _concatenated_weights(design, theta, x0, ordinary)
+                assert np.array_equal(w.view(np.int64), want.view(np.int64))

@@ -27,7 +27,10 @@ from cokrig import (
     ObservationVector,
     Proportional,
     SquaredExponentialCorrelogram,
+    ConditioningError,
     ValidationError,
+    build_cross_vector,
+    build_joint_covariance,
     equispaced,
     mspe_closed_form,
     ordinary_cokrige,
@@ -358,6 +361,35 @@ def test_reducible_cokriging_matches_dense_oracle(rng, model):
             assert out.value == pytest.approx(val, abs=1e-9)
             assert out.mspe == pytest.approx(mspe, abs=1e-10)
             assert not np.any(out.weights[n:])
+
+
+@pytest.mark.parametrize("model", [NS2(0.85, 0.94, math.exp(-17.12), 0.5, 0.75),
+                                   NS3(1.0, 2.0, 0.5, 0.4)] + REDUCIBLE_MODELS)
+def test_joint_covariance_filled_and_factored_in_place_is_bit_identical(rng, model):
+    # the stacked-block build and a Cholesky factor of a C-ordered copy are
+    # the reference for the blocks written into one array and factored in place
+    from scipy import linalg
+
+    for n in (2, 17, 200):
+        gaps = rng.uniform(0.5, 1.5, n - 1)
+        design = Design(0.0, 1.0, tuple(gaps / gaps.sum()))
+        pts = design.points
+        h = np.abs(pts[:, None] - pts[None, :])
+        k12 = np.asarray(model.cov12(h), dtype=float)
+        want = np.block([[np.asarray(model.cov11(h), dtype=float), k12],
+                         [k12.T, np.asarray(model.cov22(h), dtype=float)]])
+        cov = build_joint_covariance(model, design)
+        assert np.array_equal(cov.view(np.int64), want.view(np.int64))
+        cov0, var0 = build_cross_vector(model, design, float(rng.uniform(0.0, 1.0)))
+        try:
+            sol = linalg.cho_solve(linalg.cho_factor(want, lower=True), cov0)
+        except linalg.LinAlgError:
+            with pytest.raises(ConditioningError):
+                cokrig.predict._blup(cov, cov0, var0)
+            continue
+        weights, mspe = cokrig.predict._blup(cov, cov0, var0)
+        assert np.array_equal(weights.view(np.int64), sol.view(np.int64))
+        assert mspe == max(float(var0 - cov0 @ sol), 0.0)
 
 
 def test_markov_prediction_forms_no_dense_matrix(rng, monkeypatch):

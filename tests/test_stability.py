@@ -96,6 +96,46 @@ def test_risks_match_mpmath(criterion, model):
     assert worst <= 1e-12
 
 
+# priors whose rates reach far from the paper's [12.12, 22.12], as the
+# density's nodes (the uniforms' cut where mpmath integrates piece by
+# piece): a wide and a very wide uniform, and a tabulated density with kinks
+# inside its support and a zero-density first segment
+_KINKED_RATES = (1.0, 2.0, 10.0, 17.12, 30.0, 60.0)
+_KINKED_SHAPE = np.array([0.0, 0.0, 1.0, 3.0, 0.5, 0.0])
+_KINKED_DENSITIES = _KINKED_SHAPE / np.trapezoid(_KINKED_SHAPE, _KINKED_RATES)
+WIDE_PRIORS = {
+    "uniform-0.01-1000": ((0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), (1.0 / 999.99,) * 6),
+    "uniform-0.5-50": ((0.5, 5.0, 50.0), (1.0 / 49.5,) * 3),
+    "tabulated-kinked": (_KINKED_RATES, tuple(_KINKED_DENSITIES)),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
+@pytest.mark.parametrize("prior_name", sorted(WIDE_PRIORS))
+def test_risks_match_mpmath_on_wide_and_kinked_priors(prior_name, criterion, model):
+    # the quadrature starts at 8 nodes and stops once two rules agree; an
+    # early stop on a rule that is still off shows here
+    mp.mp.dps = 40
+    rates, densities = WIDE_PRIORS[prior_name]
+    if prior_name.startswith("uniform"):
+        prior = ThetaPrior.uniform(rates[0], rates[-1], e_sigma11=0.85)
+    else:
+        prior = ThetaPrior.tabulated(rates, densities, e_sigma11=0.85)
+    fn = risk_smspe if criterion == "smspe" else risk_imspe
+    rng = np.random.default_rng(20240815)
+    for n in (3, 17):
+        gaps = rng.dirichlet(np.ones(n - 1))
+        design = Design(0.0, 1.0, tuple(gaps))
+        gaps = design.gap_array()
+        want = mp.mpf(0)
+        for t0, t1, r0, r1 in zip(rates[:-1], rates[1:], densities[:-1], densities[1:]):
+            t0, t1, r0, r1 = (mp.mpf(v) for v in (t0, t1, r0, r1))
+            want += mp.quad(lambda t: _mp_value(criterion, model, t, gaps)
+                            * (r0 + (r1 - r0) * (t - t0) / (t1 - t0)), [t0, t1])
+        assert _rel(fn(prior, design, model), 0.85 * want) <= 1e-12
+
+
 def _mp_mspe(points, theta, x0, model):
     """Kriging error at ``x0`` by a dense mpmath solve of the textbook system."""
     theta, x0 = mp.mpf(theta), mp.mpf(float(x0))
