@@ -7,8 +7,8 @@ cokriging, known or estimated mean), scores sampling designs by
 worst-case or integrated prediction error under an exponential
 correlation model, averages those scores over priors on the decay
 rate, and searches for optimal designs.  For every criterion here the
-equispaced design is optimal; the optimizer and its brute-force oracle
-confirm that numerically.
+equispaced design is optimal; the optimizer finds it numerically from
+an irregular start rather than assuming it.
 
 Typical use::
 
@@ -49,13 +49,11 @@ from .criteria import (
     RiskReport,
     ThetaPrior,
     imspe,
-    imspe_numeric,
     relative_efficiency,
     risk_imspe,
     risk_report,
     risk_smspe,
     smspe,
-    smspe_numeric,
 )
 from .design import Design, equispaced, majorization_perturb, rescale
 from .exceptions import (
@@ -65,7 +63,6 @@ from .exceptions import (
     ExtrapolationError,
     NumericError,
     ParseError,
-    ResourceError,
     ValidationError,
 )
 from .kernel import (
@@ -78,7 +75,6 @@ from .mle import MleFit, fit_mle, loglikelihood, simulate_observations
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
-    brute_force_min,
     evaluate_criterion,
     optimize,
 )
@@ -123,12 +119,11 @@ __all__ = [
     "ObservationVector", "PredictionResult", "simple_krige", "ordinary_krige",
     "simple_cokrige", "ordinary_cokrige", "mspe_closed_form",
     # criteria
-    "ThetaPrior", "CriterionReport", "smspe", "imspe", "smspe_numeric",
-    "imspe_numeric", "risk_smspe", "risk_imspe", "RiskReport", "risk_report",
-    "relative_efficiency",
+    "ThetaPrior", "CriterionReport", "smspe", "imspe", "risk_smspe",
+    "risk_imspe", "RiskReport", "risk_report", "relative_efficiency",
     # optimization
     "OptimizationProblem", "OptimizationResult", "optimize",
-    "evaluate_criterion", "brute_force_min",
+    "evaluate_criterion",
     # stations
     "EARTH_RADIUS_KM", "StationRecord", "ObservationRecord", "IngestReport",
     "haversine_km", "ingest_stations", "read_stations_csv",
@@ -137,5 +132,5 @@ __all__ = [
     "MleFit", "loglikelihood", "fit_mle", "simulate_observations",
     # errors
     "CokrigError", "DomainError", "ExtrapolationError", "ValidationError",
-    "ParseError", "ConditioningError", "NumericError", "ResourceError",
+    "ParseError", "ConditioningError", "NumericError",
 ]

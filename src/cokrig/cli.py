@@ -62,8 +62,8 @@ with ``<prefix>.theta`` (decay rate) or ``<prefix>.lambda`` (decay
 base) as required by the kind.
 
 Exit codes: 0 success; 2 for invalid inputs (parse, domain,
-validation, extrapolation); 3 for numeric failures (conditioning,
-quadrature, resource limits).
+validation, extrapolation, flags the subcommand would ignore); 3 for
+numeric failures (conditioning, quadrature).
 """
 
 import argparse
@@ -77,7 +77,6 @@ from .exceptions import (
     DomainError,
     NumericError,
     ParseError,
-    ResourceError,
     ValidationError,
 )
 from .kernel import ExponentialKernel
@@ -137,9 +136,11 @@ def _load_design(path: str) -> design_mod.Design:
 
 
 def _design_from_args(args) -> design_mod.Design:
-    if getattr(args, "design", None) is not None:
+    if args.design is not None:
+        if args.n is not None:
+            raise ParseError("--design and --n are mutually exclusive")
         return _load_design(args.design)
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         return design_mod.equispaced(args.n)
     raise ParseError("provide either --design FILE or --n COUNT")
 
@@ -156,20 +157,20 @@ def kernel_from_model(model: covmodel.BivariateCovariance) -> ExponentialKernel:
 
 
 def _kernel_from_args(args) -> ExponentialKernel:
-    spec_path = getattr(args, "spec", None)
-    if spec_path is not None:
-        if args.theta is not None:
-            raise ParseError("--spec and --theta are mutually exclusive")
-        model = covmodel.parse_config(_read_text(spec_path))
+    if args.spec is not None:
+        if args.theta is not None or args.sigma11 is not None:
+            raise ParseError("--spec and --theta/--sigma11 are mutually exclusive")
+        model = covmodel.parse_config(_read_text(args.spec))
         covmodel._require_valid(model)
         return kernel_from_model(model)
     if args.theta is None:
         raise ParseError("provide either --theta or --spec FILE")
-    return ExponentialKernel(args.theta, args.sigma11)
+    return ExponentialKernel(args.theta, 1.0 if args.sigma11 is None else args.sigma11)
 
 
 def _prior_from_args(args) -> criteria.ThetaPrior:
-    prior_path = getattr(args, "prior_file", None)
+    e_sigma11 = 1.0 if args.e_sigma11 is None else args.e_sigma11
+    prior_path = args.prior_file
     if prior_path is not None:
         if args.theta1 is not None or args.theta2 is not None:
             raise ParseError("--prior-file and --theta1/--theta2 are mutually exclusive")
@@ -186,10 +187,10 @@ def _prior_from_args(args) -> criteria.ThetaPrior:
                 dens.append(float(parts[1]))
             except ValueError:
                 raise ParseError(f"malformed prior row {line!r}", lineno) from None
-        return criteria.ThetaPrior.tabulated(rates, dens, e_sigma11=args.e_sigma11)
+        return criteria.ThetaPrior.tabulated(rates, dens, e_sigma11=e_sigma11)
     if args.theta1 is None or args.theta2 is None:
         raise ParseError("provide --theta1 and --theta2, or --prior-file")
-    return criteria.ThetaPrior.uniform(args.theta1, args.theta2, e_sigma11=args.e_sigma11)
+    return criteria.ThetaPrior.uniform(args.theta1, args.theta2, e_sigma11=e_sigma11)
 
 
 # --------------------------------------------------------------------------
@@ -210,18 +211,18 @@ def _cmd_evaluate(args) -> int:
 
 def _has_prior_flags(args) -> bool:
     return (args.theta1 is not None or args.theta2 is not None
-            or args.prior_file is not None)
+            or args.prior_file is not None or args.e_sigma11 is not None)
 
 
 def _has_kernel_flags(args) -> bool:
-    return args.theta is not None or args.spec is not None
+    return args.theta is not None or args.sigma11 is not None or args.spec is not None
 
 
 def _cmd_optimize(args) -> int:
     if args.criterion in ("smspe", "imspe"):
         if _has_prior_flags(args):
             raise ParseError(
-                f"criterion '{args.criterion}' takes --theta/--spec, not prior flags"
+                f"criterion '{args.criterion}' takes --theta/--spec/--sigma11, not prior flags"
             )
         kernel = _kernel_from_args(args)
         problem = optimizer.OptimizationProblem(
@@ -231,7 +232,7 @@ def _cmd_optimize(args) -> int:
     else:
         if _has_kernel_flags(args):
             raise ParseError(
-                f"criterion '{args.criterion}' takes prior flags, not --theta/--spec"
+                f"criterion '{args.criterion}' takes prior flags, not --theta/--spec/--sigma11"
             )
         prior = _prior_from_args(args)
         problem = optimizer.OptimizationProblem(
@@ -260,7 +261,7 @@ def _cmd_efficiency(args) -> int:
         reference = design_mod.equispaced(candidate.n)
     if _has_prior_flags(args):
         if _has_kernel_flags(args):
-            raise ParseError("give either --theta/--spec or prior flags, not both")
+            raise ParseError("give either --theta/--spec/--sigma11 or prior flags, not both")
         prior = _prior_from_args(args)
         fn = criteria.risk_smspe if args.criterion == "smspe" else criteria.risk_imspe
         ref_val = fn(prior, reference, args.model)
@@ -279,8 +280,10 @@ def _cmd_risk(args) -> int:
     design = _design_from_args(args)
     if args.criterion is not None:
         fn = criteria.risk_smspe if args.criterion == "smspe" else criteria.risk_imspe
-        print(_fmt(fn(prior, design, args.model)))
+        print(_fmt(fn(prior, design, args.model or "simple")))
         return 0
+    if args.model is not None:
+        raise ParseError("--model needs --criterion; without it all four combinations print")
     for crit, fn in (("smspe", criteria.risk_smspe), ("imspe", criteria.risk_imspe)):
         for model in criteria.MODELS:
             print(f"risk.{crit}.{model} = {_fmt(fn(prior, design, model))}")
@@ -290,6 +293,8 @@ def _cmd_risk(args) -> int:
 def _cmd_fit(args) -> int:
     observations = stations.read_observations_csv(_read_text(args.observations))
     if args.stations is not None:
+        if args.design is not None:
+            raise ParseError("--stations and --design are mutually exclusive")
         recs = stations.read_stations_csv(_read_text(args.stations))
         design, _report = stations.ingest_stations(recs)
         z1, z2 = stations.align_observations(recs, observations)
@@ -371,7 +376,7 @@ def _cmd_profile(args) -> int:
 def _add_kernel_flags(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float, default=None,
                    help="exponential decay rate of the primary kernel")
-    p.add_argument("--sigma11", type=float, default=1.0,
+    p.add_argument("--sigma11", type=float, default=None,
                    help="primary variance (default 1.0)")
     p.add_argument("--spec", default=None, metavar="FILE",
                    help="covariance config file; alternative to --theta")
@@ -384,16 +389,15 @@ def _add_prior_flags(p: argparse.ArgumentParser):
                    help="upper endpoint of the uniform decay-rate prior")
     p.add_argument("--prior-file", default=None, metavar="FILE",
                    help="tabulated prior ('rate density' rows)")
-    p.add_argument("--e-sigma11", type=float, default=1.0, dest="e_sigma11",
+    p.add_argument("--e-sigma11", type=float, default=None, dest="e_sigma11",
                    help="prior mean of the primary variance (default 1.0)")
 
 
-def _add_design_flags(p: argparse.ArgumentParser, with_n: bool = True):
+def _add_design_flags(p: argparse.ArgumentParser):
     p.add_argument("--design", default=None, metavar="FILE",
                    help="design file (one gap per line, sum 1)")
-    if with_n:
-        p.add_argument("--n", type=int, default=None,
-                       help="use the equispaced design with this many points")
+    p.add_argument("--n", type=int, default=None,
+                   help="use the equispaced design with this many points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("risk", help="prior-averaged criteria")
     p.add_argument("--criterion", choices=("smspe", "imspe"), default=None,
                    help="omit to print all four model/criterion combinations")
-    p.add_argument("--model", choices=criteria.MODELS, default="simple")
+    p.add_argument("--model", choices=criteria.MODELS, default=None,
+                   help="model of --criterion (default simple)")
     _add_prior_flags(p)
     _add_design_flags(p)
     p.set_defaults(func=_cmd_risk)
@@ -485,10 +490,14 @@ def run_command(argv) -> int:
     except (ParseError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConditioningError, NumericError, ResourceError) as exc:
+    except (ConditioningError, NumericError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
 
 def main(argv=None) -> int:
     return run_command(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

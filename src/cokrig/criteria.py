@@ -53,8 +53,6 @@ __all__ = [
     "CriterionReport",
     "smspe",
     "imspe",
-    "smspe_numeric",
-    "imspe_numeric",
     "risk_smspe",
     "risk_imspe",
     "RiskReport",
@@ -227,71 +225,6 @@ def smspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> C
 def imspe(kernel: ExponentialKernel, design: Design, model: str = "simple") -> CriterionReport:
     """Integral of the kriging MSPE over the unit interval."""
     return _report("imspe", kernel, design, model)
-
-
-# --------------------------------------------------------------------------
-# brute-force numeric versions (oracles for the closed forms)
-# --------------------------------------------------------------------------
-
-def smspe_numeric(
-    kernel: ExponentialKernel,
-    design: Design,
-    model: str = "simple",
-    grid_points_per_interval: int = 64,
-) -> float:
-    """Grid maximum of the pointwise MSPE, midpoints always included.
-
-    A deliberately naive check on :func:`smspe`: evaluates the closed
-    pointwise error on a uniform grid in every interval, plus the exact
-    midpoints where the suprema live.
-    """
-    kernel = _check_kernel(kernel)
-    model = _check_model(model)
-    _require_unit(design)
-    if grid_points_per_interval < 64:
-        raise DomainError(
-            f"need at least 64 grid points per interval, got {grid_points_per_interval}"
-        )
-    offsets = np.append(np.linspace(0.0, 1.0, grid_points_per_interval), 0.5)[:, None]
-    x0 = design.points[:-1] + offsets * design.gaps
-    vals = kern._pointwise(design, kernel.theta, x0, model == "ordinary")[0]
-    return kernel.sigma11 * float(vals.max())
-
-
-def imspe_numeric(
-    kernel: ExponentialKernel,
-    design: Design,
-    model: str = "simple",
-    tol: float = 1e-10,
-) -> float:
-    """Adaptive-quadrature integral of the pointwise MSPE.
-
-    Integrates interval by interval (the integrand is smooth inside
-    each gap and kinked at the sites).  Raises ``NumericError`` if any
-    panel fails to converge to ``tol``.
-    """
-    from scipy import integrate
-
-    from .predict import mspe_closed_form
-
-    kernel = _check_kernel(kernel)
-    model = _check_model(model)
-    _require_unit(design)
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    pts = design.points
-    total = 0.0
-    for i in range(design.n - 1):
-        val, err = integrate.quad(
-            lambda x: mspe_closed_form(kernel, design, x, model),
-            pts[i], pts[i + 1], epsabs=tol / design.n, epsrel=1e-12, limit=200,
-        )
-        if not np.isfinite(val) or err > max(tol, 1e-8):
-            raise NumericError(
-                f"quadrature failed on interval {i}: estimate {val}, error {err}"
-            )
-        total += val
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -53,7 +53,3 @@ class ConditioningError(CokrigError, ArithmeticError):
 
 class NumericError(CokrigError, ArithmeticError):
     """A numerical routine failed to converge to the requested accuracy."""
-
-
-class ResourceError(CokrigError):
-    """A requested computation exceeds a hard resource cap."""

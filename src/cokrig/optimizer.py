@@ -18,9 +18,6 @@ the simplex (large rates, few sites) that candidate decides.
 Convergence is judged by an optimality residual (see
 ``OptimizationResult``), not by SciPy's success flag, which reports
 "Positive directional derivative for linesearch" at some exact optima.
-
-A small brute-force enumerator on a simplex grid is provided to confirm
-minimizers independently for ``n <= 4``.
 """
 
 from dataclasses import dataclass
@@ -31,14 +28,13 @@ from . import criteria as crit
 from . import kernel as kern
 from .criteria import ThetaPrior
 from .design import Design
-from .exceptions import DomainError, ResourceError
+from .exceptions import DomainError
 from .kernel import ExponentialKernel
 
 __all__ = [
     "OptimizationProblem",
     "OptimizationResult",
     "optimize",
-    "brute_force_min",
 ]
 
 CRITERIA = ("smspe", "imspe", "risk_smspe", "risk_imspe")
@@ -68,9 +64,6 @@ _POLISH_STEPS = 4
 # The solve's end replaces the equispaced candidate only when its value is
 # lower by more than this relative margin, which rounding cannot produce.
 _TIE_MARGIN = 8.0 * float(np.finfo(float).eps)
-
-# Enumeration cap for brute_force_min.
-MAX_GRID_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -147,36 +140,30 @@ def evaluate_criterion(problem: OptimizationProblem, design: Design) -> float:
     return crit.risk_imspe(problem.prior, design, problem.model)
 
 
-def _gap_values_fn(problem: OptimizationProblem):
-    """Criterion value on a raw unit-sum gap vector: the public criteria's
-    own gap-level functions, closed forms included, minus their checks."""
-    criterion, model = problem.criterion, problem.model
-    if problem.prior is not None:
-        prior, base = problem.prior, criterion.removeprefix("risk_")
-        return lambda g: crit._risk(base, prior, g, model).value
-    theta, s11 = problem.kernel.theta, problem.kernel.sigma11
-    return lambda g: s11 * float(kern._interval_terms(theta, g, criterion, model, terms=False)[1])
-
-
 def _objective(problem: OptimizationProblem):
     """What the solve works on, and whether that is the per-interval terms
     of a supremum criterion (the epigraph form; the criterion is their
     maximum) rather than an integrated criterion's value.
 
-    For ``risk_smspe`` each term is averaged over the prior: every term
-    rises with its own gap at every rate, so the widest gap holds the
-    largest term at every rate, and the average of the maximum is the
-    maximum of the averages.
+    Both come from the gap-level functions behind the public criteria,
+    closed forms included, minus their checks.  For ``risk_smspe`` each
+    term is averaged over the prior: every term rises with its own gap at
+    every rate, so the widest gap holds the largest term at every rate,
+    and the average of the maximum is the maximum of the averages.
     """
-    if not problem.criterion.endswith("smspe"):
-        return _gap_values_fn(problem), False
     model = problem.model
+    epigraph = problem.criterion.endswith("smspe")
     if problem.prior is not None:
         prior = problem.prior
-        return (lambda g: prior.e_sigma11
-                * crit._prior_average(prior, "smspe", g, model, terms=True)), True
+        if epigraph:
+            return (lambda g: prior.e_sigma11
+                    * crit._prior_average(prior, "smspe", g, model, terms=True)), True
+        return (lambda g: crit._risk("imspe", prior, g, model).value), False
     theta, s11 = problem.kernel.theta, problem.kernel.sigma11
-    return (lambda g: s11 * kern._interval_terms(theta, g, "smspe", model)[0]), True
+    if epigraph:
+        return (lambda g: s11 * kern._interval_terms(theta, g, "smspe", model)[0]), True
+    return (lambda g: s11 * float(
+        kern._interval_terms(theta, g, "imspe", model, terms=False)[1])), False
 
 
 def _solve(problem: OptimizationProblem, fn, epigraph: bool):
@@ -311,54 +298,3 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     return OptimizationResult(design, evaluate_criterion(problem, design),
                               residual <= problem.tolerance, _gap_deviation(gaps), evals,
                               residual, message)
-
-
-def _compositions(total: int, parts: int):
-    """Yield positive integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def brute_force_min(problem: OptimizationProblem, grid_step: float = 0.005) -> OptimizationResult:
-    """Exhaustive minimum over a simplex grid of gap vectors.
-
-    Gaps are restricted to positive multiples of ``1/K`` with
-    ``K = round(1/grid_step)``.  Only sensible for ``n <= 4``; the node
-    count is capped at ``MAX_GRID_NODES``.  Ties break toward the
-    lexicographically smallest gap vector, so results are deterministic.
-    The enumeration is exhaustive, so ``converged`` is always true;
-    ``residual`` is not computed and reads NaN.
-    """
-    if problem.n > 4:
-        raise DomainError(f"brute force enumeration is limited to n <= 4, got {problem.n}")
-    if not (np.isfinite(grid_step) and 0 < grid_step < 1):
-        raise DomainError(f"grid_step must lie in (0, 1), got {grid_step}")
-    k = problem.n - 1
-    K = round(1.0 / grid_step)
-    if K < k:
-        raise DomainError(f"grid step {grid_step} too coarse for {k} gaps")
-    from math import comb
-
-    n_nodes = comb(K - 1, k - 1)
-    if n_nodes > MAX_GRID_NODES:
-        raise ResourceError(
-            f"simplex grid would hold {n_nodes} nodes, cap is {MAX_GRID_NODES}"
-        )
-    fast = _gap_values_fn(problem)
-    best_gaps, best_val = None, np.inf
-    evals = 0
-    for comp in _compositions(K, k):
-        gaps = np.asarray(comp, dtype=float) / K
-        val = fast(gaps)
-        evals += 1
-        if val < best_val - 0.0 or (val == best_val and comp < best_gaps):
-            best_gaps, best_val = comp, val
-    gaps = np.asarray(best_gaps, dtype=float) / K
-    design = Design(0.0, 1.0, gaps)
-    value = evaluate_criterion(problem, design)
-    return OptimizationResult(design, value, True, _gap_deviation(gaps), evals, float("nan"),
-                              f"exhaustive minimum over {evals} grid nodes")

@@ -10,6 +10,7 @@ of the hops enter the design criteria.
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,16 +85,24 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(s))
 
 
+def _duplicate_ids(records) -> list[str]:
+    counts = Counter(r.station_id for r in records)
+    return sorted(sid for sid, count in counts.items() if count > 1)
+
+
 def ingest_stations(stations: Sequence[StationRecord]) -> tuple[Design, IngestReport]:
     """Turn an ordered station list into a unit-interval design.
 
-    Requires at least two stations with strictly increasing, unique
-    ``order`` values as given (sort the input first if needed).  Hops
-    are consecutive great-circle distances; a zero hop (duplicate
-    coordinates) is refused since designs need distinct sites.
+    Requires at least two stations with unique ids and strictly
+    increasing, unique ``order`` values as given (sort the input first
+    if needed).  Hops are consecutive great-circle distances; a zero hop
+    (duplicate coordinates) is refused since designs need distinct sites.
     """
     if len(stations) < 2:
         raise DomainError(f"need at least two stations, got {len(stations)}")
+    dupes = _duplicate_ids(stations)
+    if dupes:
+        raise DomainError(f"duplicate station ids: {dupes}")
     orders = [s.order for s in stations]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise DomainError(
@@ -166,11 +175,11 @@ def align_observations(
     stations: Sequence[StationRecord], observations: Sequence[ObservationRecord]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order observations by station rank; ids must match one-to-one."""
+    for kind, records in (("station", stations), ("observation station", observations)):
+        dupes = _duplicate_ids(records)
+        if dupes:
+            raise DomainError(f"duplicate {kind} ids: {dupes}")
     by_id = {o.station_id: o for o in observations}
-    if len(by_id) != len(observations):
-        dupes = sorted({o.station_id for o in observations
-                        if sum(p.station_id == o.station_id for p in observations) > 1})
-        raise DomainError(f"duplicate observation station ids: {dupes}")
     missing = [s.station_id for s in stations if s.station_id not in by_id]
     extra = sorted(set(by_id) - {s.station_id for s in stations})
     if missing or extra:

@@ -1,13 +1,29 @@
-"""Naive dense-matrix oracles for the closed-form code paths.
+"""Naive oracles for the closed-form code paths and the optimizer.
 
 Everything here is written the slow, obvious way on purpose: build the
 full correlation matrix, call ``numpy.linalg`` on it, and read the
-answer off the textbook formulas.  The package must agree with these
-to tight tolerances; the package itself never calls them.
+answer off the textbook formulas; take a criterion's supremum on a grid
+and its integral by adaptive quadrature; enumerate a simplex grid of
+designs.  The package must agree with these to tight tolerances; the
+package itself never calls them.
 """
+
+from math import comb
 
 import numpy as np
 from scipy import integrate
+
+from cokrig import (
+    Design,
+    DomainError,
+    NumericError,
+    OptimizationResult,
+    evaluate_criterion,
+    mspe_closed_form,
+)
+
+# Enumeration cap for brute_force_min.
+MAX_GRID_NODES = 10_000_000
 
 
 def dense_corr(points: np.ndarray, theta: float) -> np.ndarray:
@@ -153,3 +169,87 @@ def mp_prior_averaged_smspe_terms(rates, densities, gaps, model, dps=30):
                     lambda t: term(i, t) * (r0 + (r1 - r0) * (t - t0) / (t1 - t0)), [t0, t1])
             out.append(float(total))
     return out
+
+
+def smspe_numeric(kernel, design: Design, model: str = "simple",
+                  grid_points_per_interval: int = 64) -> float:
+    """Grid maximum of the pointwise MSPE, midpoints always included.
+
+    Evaluates the closed pointwise error on a uniform grid in every
+    interval, plus the exact midpoints where the suprema live.
+    """
+    if grid_points_per_interval < 64:
+        raise DomainError(
+            f"need at least 64 grid points per interval, got {grid_points_per_interval}"
+        )
+    offsets = np.append(np.linspace(0.0, 1.0, grid_points_per_interval), 0.5)[:, None]
+    x0 = design.points[:-1] + offsets * design.gaps
+    return float(mspe_closed_form(kernel, design, x0, model).max())
+
+
+def imspe_numeric(kernel, design: Design, model: str = "simple", tol: float = 1e-10) -> float:
+    """Adaptive-quadrature integral of the pointwise MSPE.
+
+    Integrates interval by interval (the integrand is smooth inside
+    each gap and kinked at the sites).  Raises ``NumericError`` if any
+    panel fails to converge to ``tol``.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be positive, got {tol}")
+    pts = design.points
+    total = 0.0
+    for i in range(design.n - 1):
+        val, err = integrate.quad(
+            lambda x: mspe_closed_form(kernel, design, x, model),
+            pts[i], pts[i + 1], epsabs=tol / design.n, epsrel=1e-12, limit=200,
+        )
+        if not np.isfinite(val) or err > max(tol, 1e-8):
+            raise NumericError(
+                f"quadrature failed on interval {i}: estimate {val}, error {err}"
+            )
+        total += val
+    return total
+
+
+def _compositions(total: int, parts: int):
+    """Yield positive integer vectors of the given length summing to total,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def brute_force_min(problem, grid_step: float = 0.005) -> OptimizationResult:
+    """Exhaustive minimum over a simplex grid of gap vectors.
+
+    Gaps are restricted to positive multiples of ``1/K`` with
+    ``K = round(1/grid_step)``, and each node is scored by the public
+    ``evaluate_criterion`` on its ``Design``.  Only sensible for
+    ``n <= 4``; the node count is capped at ``MAX_GRID_NODES``.  Ties
+    break toward the lexicographically smallest gap vector, the first
+    one enumerated.  The enumeration is exhaustive, so ``converged`` is
+    always true; ``residual`` is not computed and reads NaN.
+    """
+    if problem.n > 4:
+        raise DomainError(f"brute force enumeration is limited to n <= 4, got {problem.n}")
+    if not (np.isfinite(grid_step) and 0 < grid_step < 1):
+        raise DomainError(f"grid_step must lie in (0, 1), got {grid_step}")
+    k = problem.n - 1
+    K = round(1.0 / grid_step)
+    if K < k:
+        raise DomainError(f"grid step {grid_step} too coarse for {k} gaps")
+    n_nodes = comb(K - 1, k - 1)
+    if n_nodes > MAX_GRID_NODES:
+        raise DomainError(f"simplex grid would hold {n_nodes} nodes, cap is {MAX_GRID_NODES}")
+    best, best_val = None, np.inf
+    for comp in _compositions(K, k):
+        design = Design(0.0, 1.0, np.asarray(comp, dtype=float) / K)
+        val = evaluate_criterion(problem, design)
+        if val < best_val:
+            best, best_val = design, val
+    deviation = float(np.abs(best.gaps - 1.0 / k).max())
+    return OptimizationResult(best, best_val, True, deviation, n_nodes, float("nan"),
+                              f"exhaustive minimum over {n_nodes} grid nodes")

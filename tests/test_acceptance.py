@@ -34,13 +34,11 @@ from cokrig import (
     Proportional,
     SquaredExponentialCorrelogram,
     ThetaPrior,
-    brute_force_min,
     build_joint_covariance,
     equispaced,
     evaluate_criterion,
     fit_mle,
     imspe,
-    imspe_numeric,
     loglikelihood,
     majorization_perturb,
     mspe_closed_form,
@@ -53,9 +51,9 @@ from cokrig import (
     simple_krige,
     simulate_observations,
     smspe,
-    smspe_numeric,
 )
 from cokrig.kernel import precision_matrix
+from oracles import brute_force_min, imspe_numeric, smspe_numeric
 
 XI0 = Design(0.0, 1.0, XI0_GAPS)
 THETA_HAT = 17.12

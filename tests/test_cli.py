@@ -1,6 +1,11 @@
-"""End-to-end CLI coverage through run_command (no subprocesses)."""
+"""End-to-end CLI coverage through run_command; one test runs the
+module as a script in a subprocess."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +401,69 @@ def test_risk_flag_validation(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_risk_honours_model_and_prior_variance(capsys):
+    out, _ = run_ok(capsys, [
+        "risk", "--criterion", "smspe", "--model", "ordinary", "--e-sigma11", str(S11),
+        "--theta1", "15.12", "--theta2", "19.12", "--n", "6",
+    ])
+    prior = ThetaPrior.uniform(15.12, 19.12, e_sigma11=S11)
+    assert float(out) == pytest.approx(risk_smspe(prior, equispaced(6), "ordinary"), rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# flags a subcommand would ignore
+# --------------------------------------------------------------------------
+
+IGNORED_FLAGS = {
+    "evaluate-design-and-n": (
+        ["evaluate", "--criterion", "smspe", "--theta", "2.0", "--design", "{design}",
+         "--n", "17"], "mutually exclusive"),
+    "risk-design-and-n": (
+        ["risk", "--theta1", "1.0", "--theta2", "2.0", "--design", "{design}", "--n", "17"],
+        "mutually exclusive"),
+    "profile-design-and-n": (
+        ["profile", "--theta", "2.0", "--design", "{design}", "--n", "17"],
+        "mutually exclusive"),
+    "spec-and-sigma11": (
+        ["evaluate", "--criterion", "smspe", "--spec", "{spec}", "--sigma11", "5", "--n", "17"],
+        "mutually exclusive"),
+    "fit-stations-and-design": (
+        ["fit", "--observations", "{obs}", "--stations", "{stations}", "--design", "{design}"],
+        "mutually exclusive"),
+    "optimize-risk-with-sigma11": (
+        ["optimize", "--criterion", "risk_smspe", "--n", "4", "--theta1", "1.0",
+         "--theta2", "2.0", "--sigma11", "5"], "not --theta/--spec/--sigma11"),
+    "optimize-kernel-with-e-sigma11": (
+        ["optimize", "--criterion", "smspe", "--n", "4", "--theta", "2.0",
+         "--e-sigma11", "5"], "not prior flags"),
+    "efficiency-prior-with-sigma11": (
+        ["efficiency", "--criterion", "smspe", "--theta1", "1.0", "--theta2", "2.0",
+         "--sigma11", "5", "--design", "{design}"], "not both"),
+    "risk-model-without-criterion": (
+        ["risk", "--theta1", "1.0", "--theta2", "2.0", "--n", "17", "--model", "ordinary"],
+        "--model needs --criterion"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
+def test_cli_refuses_flags_it_would_ignore(capsys, tmp_path, case):
+    argv, message = IGNORED_FLAGS[case]
+    spec = tmp_path / "m.cfg"
+    spec.write_text(format_config(GeneralizedMarkov(
+        S11, 0.94, 0.25, ExponentialCorrelogram(THETA), NuggetCorrelogram())))
+    stations = tmp_path / "stations.csv"
+    stations.write_text("station_id,lat,lon,order\n"
+                        + "".join(f"s{i},0.0,{0.3 * i},{i}\n" for i in range(3)))
+    obs = tmp_path / "obs.csv"
+    obs.write_text(obs_csv_text([0.1, -0.4, 0.3], [0.2, 0.1, -0.5]))
+    files = {"design": write_design(tmp_path, [0.25, 0.75]), "spec": str(spec),
+             "stations": str(stations), "obs": str(obs)}
+    code = run_command([arg.format(**files) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
+
+
 # --------------------------------------------------------------------------
 # fit / ingest
 # --------------------------------------------------------------------------
@@ -486,6 +554,20 @@ def test_fit_via_stations(capsys, tmp_path):
     assert "theta = " in out
 
 
+def test_ingest_and_fit_refuse_duplicate_station_ids(capsys, tmp_path):
+    spath = tmp_path / "stations.csv"
+    spath.write_text("station_id,lat,lon,order\n"
+                     + "".join(f"{sid},0.0,{0.3 * i},{i}\n" for i, sid in enumerate("abac")))
+    opath = tmp_path / "obs.csv"
+    opath.write_text(obs_csv_text([1, 3, 5], [0.5, 0.1, 0.9], ids=list("abc")))
+    for argv in (["ingest", "--stations", str(spath)],
+                 ["fit", "--observations", str(opath), "--stations", str(spath)]):
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "duplicate station ids: ['a']" in err
+
+
 def test_ingest_roundtrip(capsys, tmp_path):
     spath = tmp_path / "stations.csv"
     spath.write_text(
@@ -539,3 +621,19 @@ def test_numeric_failure_exit_code(capsys):
                         "--grid", "4"])
     _, err = capsys.readouterr()
     assert code == 3 and "numeric error" in err
+
+
+def test_module_runs_as_a_script():
+    import cokrig
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cokrig.__file__).resolve().parents[1])}
+    ok = subprocess.run(
+        [sys.executable, "-m", "cokrig.cli", "evaluate", "--criterion", "smspe",
+         "--theta", str(THETA), "--n", "17"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert ok.returncode == 0, ok.stderr
+    assert float(ok.stdout) == pytest.approx(math.tanh(THETA / 32.0), rel=1e-12)
+    bad = subprocess.run([sys.executable, "-m", "cokrig.cli", "evaluate", "--criterion",
+                          "smspe", "--n", "17"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2 and "--theta or --spec" in bad.stderr

@@ -17,7 +17,6 @@ from cokrig import (
     ThetaPrior,
     equispaced,
     imspe,
-    imspe_numeric,
     majorization_perturb,
     mspe_closed_form,
     relative_efficiency,
@@ -25,10 +24,10 @@ from cokrig import (
     risk_report,
     risk_smspe,
     smspe,
-    smspe_numeric,
 )
 from cokrig import criteria as crit
 import oracles
+from oracles import imspe_numeric, smspe_numeric
 
 
 def _random_unit_design(rng, n_max=7):
@@ -414,8 +413,8 @@ def test_relative_efficiency_basics():
 # --------------------------------------------------------------------------
 
 def test_import_leaves_scipy_unloaded():
-    # the dense solves, the optimizer, the fit and the imspe_numeric oracle
-    # each load the part of SciPy they call
+    # the dense solves, the optimizer and the fit each load the part of
+    # SciPy they call
     import cokrig
 
     src = str(Path(cokrig.__file__).resolve().parents[1])

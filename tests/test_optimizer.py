@@ -11,9 +11,7 @@ from cokrig import (
     DomainError,
     ExponentialKernel,
     OptimizationProblem,
-    ResourceError,
     ThetaPrior,
-    brute_force_min,
     equispaced,
     evaluate_criterion,
     imspe,
@@ -22,6 +20,7 @@ from cokrig import (
     risk_smspe,
     smspe,
 )
+from oracles import brute_force_min
 
 KERN = ExponentialKernel(17.12, sigma11=0.85)
 PRIOR = ThetaPrior.uniform(15.12, 19.12)
@@ -246,7 +245,7 @@ def test_brute_force_limits():
     with pytest.raises(DomainError):
         brute_force_min(OptimizationProblem(3, "smspe", kernel=KERN),
                         grid_step=1.5)
-    with pytest.raises(ResourceError):
+    with pytest.raises(DomainError, match="cap"):
         brute_force_min(OptimizationProblem(4, "smspe", kernel=KERN),
                         grid_step=1e-5)
 

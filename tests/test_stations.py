@@ -84,6 +84,9 @@ def test_ingest_errors():
     same_spot = [StationRecord("a", 5, 5, 1), StationRecord("b", 5, 5, 2)]
     with pytest.raises(DomainError, match="zero"):
         ingest_stations(same_spot)
+    dup_ids = [StationRecord(sid, 0.0, 0.3 * i, i) for i, sid in enumerate("abac")]
+    with pytest.raises(DomainError, match=r"duplicate station ids: \['a'\]"):
+        ingest_stations(dup_ids)
 
 
 def test_record_validation():
@@ -173,6 +176,8 @@ def test_align_mismatches():
     obs = read_observations_csv(OBS_CSV)
     with pytest.raises(DomainError, match="duplicate"):
         align_observations(stations, obs + [ObservationRecord("up", 1, 1)])
+    with pytest.raises(DomainError, match=r"duplicate station ids: \['up'\]"):
+        align_observations(stations + [stations[0]], obs)
     with pytest.raises(DomainError, match="missing"):
         align_observations(stations, obs[:2])
     with pytest.raises(DomainError, match="extra"):
