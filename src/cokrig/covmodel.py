@@ -101,7 +101,7 @@ class ExponentialCorrelogram(Correlogram):
 
     def __post_init__(self):
         if not (np.isfinite(self.rate) and self.rate > 0):
-            raise DomainError(f"decay rate must be positive, got {self.rate}")
+            raise DomainError(f"decay rate must be finite and positive, got {self.rate}")
 
     @classmethod
     def from_base(cls, base: float) -> "ExponentialCorrelogram":

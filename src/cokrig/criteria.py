@@ -26,9 +26,11 @@ criterion and their averages over any decay-rate prior.
 
 Bayes risks average a criterion over a prior on ``theta`` and scale by
 the prior mean of ``sigma11`` (criteria are linear in the variance).
-The uniform-prior simple-model risks integrate in closed form, through
-``log cosh`` and ``log(sinh x / x)``; all other combinations use
-Gauss-Legendre quadrature on each segment of the prior, starting at 8
+A prior is a table of ``(rate, density)`` nodes, linear between them; a
+uniform prior is the flat two-node table.  The average walks the
+table's segments.  On a flat segment the simple-model criteria
+integrate in closed form, through ``log cosh`` and ``log(sinh x / x)``;
+every other segment takes Gauss-Legendre quadrature, starting at 8
 nodes and doubling until two successive estimates agree to a relative
 ``RISK_QUAD_TOL``.  The integrands are analytic in ``theta`` on each
 segment, so the rule converges geometrically: on the paper's prior the
@@ -106,75 +108,61 @@ def _require_unit(design: Design):
 class ThetaPrior:
     """Prior on the exponential decay rate, plus the mean variance scale.
 
-    Two kinds are supported: ``uniform`` on ``[theta1, theta2]`` and
-    ``tabulated``, a piecewise-linear density given by ``(rate,
-    density)`` nodes.  ``e_sigma11`` is the prior mean of the variance
-    scale; risks are proportional to it.
-
-    Use the :meth:`uniform` / :meth:`tabulated` constructors.
+    ``nodes`` is the prior's density table: ``(rate, density)`` pairs at
+    positive, strictly increasing rates, the density linear between them
+    and zero outside, integrating to one.  :meth:`uniform` builds the flat
+    two-node table and :meth:`tabulated` the table it is given.  ``nodes``
+    is stored as a tuple of float pairs.  ``e_sigma11`` is the prior mean
+    of the variance scale; risks are proportional to it.
     """
 
-    kind: str
-    theta1: float | None = None
-    theta2: float | None = None
-    nodes: tuple[tuple[float, float], ...] | None = None
+    nodes: tuple[tuple[float, float], ...]
     e_sigma11: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.e_sigma11) and self.e_sigma11 > 0):
-            raise DomainError(f"e_sigma11 must be positive, got {self.e_sigma11}")
-        if self.kind == "uniform":
-            t1, t2 = self.theta1, self.theta2
-            if t1 is None or t2 is None or self.nodes is not None:
-                raise DomainError("uniform prior takes theta1 and theta2 only")
-            if not (np.isfinite(t1) and np.isfinite(t2) and 0 < t1 < t2):
-                raise DomainError(f"need 0 < theta1 < theta2, got [{t1}, {t2}]")
-        elif self.kind == "tabulated":
-            if self.nodes is None or self.theta1 is not None or self.theta2 is not None:
-                raise DomainError("tabulated prior takes nodes only")
-            t = np.array([p[0] for p in self.nodes], dtype=float)
-            r = np.array([p[1] for p in self.nodes], dtype=float)
-            if t.size < 2:
-                raise DomainError("tabulated prior needs at least two nodes")
-            if not np.all(np.isfinite(t)) or not np.all(np.isfinite(r)):
-                raise DomainError("prior nodes must be finite")
-            if t[0] <= 0 or np.any(np.diff(t) <= 0):
-                raise DomainError("prior rates must be positive and strictly increasing")
-            if np.any(r < 0):
-                raise DomainError("prior density must be nonnegative")
-            mass = float(np.trapezoid(r, t))
-            if abs(mass - 1.0) > 1e-6:
-                raise DomainError(
-                    f"tabulated density integrates to {mass!r}, expected 1 "
-                    "within 1e-6 under trapezoidal quadrature"
-                )
-        else:
-            raise DomainError(f"prior kind must be 'uniform' or 'tabulated', got {self.kind!r}")
+            raise DomainError(f"e_sigma11 must be finite and positive, got {self.e_sigma11}")
+        try:
+            nodes = tuple((float(t), float(r)) for t, r in self.nodes)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"prior nodes must be (rate, density) pairs: {exc}") from None
+        object.__setattr__(self, "nodes", nodes)
+        table = np.array(nodes).reshape(-1, 2)
+        t, r = table.T
+        if t.size < 2:
+            raise DomainError("tabulated prior needs at least two nodes")
+        if not np.isfinite(table).all():
+            raise DomainError("prior nodes must be finite")
+        if t[0] <= 0 or np.any(np.diff(t) <= 0):
+            raise DomainError("prior rates must be positive and strictly increasing")
+        if np.any(r < 0):
+            raise DomainError("prior density must be nonnegative")
+        mass = float(np.trapezoid(r, t))
+        if abs(mass - 1.0) > 1e-6:
+            raise DomainError(
+                f"tabulated density integrates to {mass!r}, expected 1 "
+                "within 1e-6 under trapezoidal quadrature"
+            )
 
     @classmethod
     def uniform(cls, theta1: float, theta2: float, e_sigma11: float = 1.0) -> "ThetaPrior":
-        return cls("uniform", theta1=float(theta1), theta2=float(theta2),
-                   e_sigma11=float(e_sigma11))
+        t1, t2 = float(theta1), float(theta2)
+        if not (np.isfinite(t1) and np.isfinite(t2) and 0 < t1 < t2):
+            raise DomainError(f"need 0 < theta1 < theta2, got [{t1}, {t2}]")
+        r = 1.0 / (t2 - t1)
+        return cls(((t1, r), (t2, r)), float(e_sigma11))
 
     @classmethod
     def tabulated(cls, rates, densities, e_sigma11: float = 1.0) -> "ThetaPrior":
-        nodes = tuple((float(t), float(r)) for t, r in zip(rates, densities, strict=True))
-        return cls("tabulated", nodes=nodes, e_sigma11=float(e_sigma11))
+        return cls(zip(rates, densities, strict=True), float(e_sigma11))
 
     @property
     def support(self) -> tuple[float, float]:
-        if self.kind == "uniform":
-            return self.theta1, self.theta2
         return self.nodes[0][0], self.nodes[-1][0]
 
     def density(self, thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if self.kind == "uniform":
-            inside = (thetas >= self.theta1) & (thetas <= self.theta2)
-            return np.where(inside, 1.0 / (self.theta2 - self.theta1), 0.0)
-        t = np.array([p[0] for p in self.nodes])
-        r = np.array([p[1] for p in self.nodes])
-        return np.interp(thetas, t, r, left=0.0, right=0.0)
+        t, r = np.array(self.nodes).T
+        return np.interp(np.asarray(thetas, dtype=float), t, r, left=0.0, right=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -245,73 +233,38 @@ def _leggauss(m: int):
 @lru_cache(maxsize=64)
 def _prior_rule(prior: ThetaPrior, m: int):
     """``m``-node Gauss-Legendre rates and density-weighted weights for each
-    segment between a tabulated density's nodes (it stalls across kinks)."""
-    cuts = [p[0] for p in prior.nodes] if prior.kind == "tabulated" else list(prior.support)
+    segment between the prior's nodes (the rule stalls across kinks)."""
     x, w = _leggauss(m)
     rules = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for (lo, _), (hi, _) in zip(prior.nodes, prior.nodes[1:]):
         thetas = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         rules.append((thetas, 0.5 * (hi - lo) * w * prior.density(thetas)))
     return rules
 
 
-def _prior_quadrature(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
-    """Average the unit-variance criterion over the prior.
-
-    Gauss-Legendre quadrature on each segment of the prior, doubling the
-    node count from ``RISK_QUAD_START`` until two successive estimates
-    differ by at most ``RISK_QUAD_TOL`` times the newer one's largest
-    entry.  The nodes are evaluated in blocks of at most
-    ``_RISK_QUAD_BLOCK`` terms.  With ``terms=True`` the per-interval
-    terms are averaged instead, giving one average per gap.
-
-    Returns the average, the number of rates evaluated over all rules and
-    segments, and the sum over segments of the last doubling difference.
-    """
-    block = max(1, _RISK_QUAD_BLOCK // gaps.size)
-    pick = 0 if terms else 1
-    total, nodes, error = 0.0, 0, 0.0
-    for seg in range(len(_prior_rule(prior, RISK_QUAD_START))):
-        m = RISK_QUAD_START
-        prev = None
-        while True:
-            thetas, weights = _prior_rule(prior, m)[seg]
-            est = sum(weights[j:j + block] @ kern._interval_terms(
-                thetas[j:j + block], gaps, criterion, model, terms=terms)[pick]
-                for j in range(0, m, block))
-            nodes += m
-            if prev is not None:
-                diff = float(np.max(np.abs(est - prev)))
-                if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
-                    total += est
-                    error += diff
-                    break
-            if m >= RISK_QUAD_MAX:
-                raise NumericError(
-                    f"risk quadrature did not stabilize to a relative {RISK_QUAD_TOL} "
-                    f"within {RISK_QUAD_MAX} nodes on segment {seg} of the prior"
-                )
-            prev = est
-            m *= 2
-    return (total if terms else float(total)), nodes, error
-
-
-def _prior_average(prior: ThetaPrior, criterion: str, gaps, model: str, terms: bool = False):
-    """The average alone of :func:`_prior_quadrature`."""
-    return _prior_quadrature(prior, criterion, gaps, model, terms)[0]
-
-
-def _log_cosh(y: float) -> float:
-    """``log cosh y`` for ``y >= 0``, without overflow or cancellation."""
-    if y < 1.0:
-        return math.log1p(2.0 * math.sinh(0.5 * y) ** 2)
-    return y - math.log(2.0) + math.log1p(math.exp(-2.0 * y))
+def _log_cosh(y):
+    """``log cosh y`` elementwise for ``y >= 0``, without overflow or cancellation."""
+    return np.where(y < 1.0, np.log1p(2.0 * np.sinh(0.5 * np.minimum(y, 1.0)) ** 2),
+                    y - math.log(2.0) + np.log1p(np.exp(-2.0 * y)))
 
 
 def _log_sinhc(x):
     """``log(sinh x / x)`` for ``x > 0``, by its series below the cutoff."""
     return kern._piecewise(x, x < kern._SERIES_CUTOFF, lambda: x + np.log(-np.expm1(-2.0 * x))
                            - np.log(2.0 * x), _SINHC_SERIES, 2)
+
+
+def _flat_integral(criterion: str, lo: float, hi: float, gaps, terms: bool):
+    """Integral over ``[lo, hi]`` in the rate of the simple model's
+    unit-variance criterion, or with ``terms`` of each per-interval term;
+    the closed forms are those of :func:`risk_smspe` and :func:`risk_imspe`."""
+    if criterion == "smspe":
+        d = gaps if terms else gaps.max()
+        return 2.0 * (_log_cosh(0.5 * hi * d) - _log_cosh(0.5 * lo * d)) / d
+    s = _log_sinhc(np.multiply.outer((lo, hi), gaps))
+    if not terms:
+        s = s.sum(axis=-1)
+    return s[1] - s[0]
 
 
 @dataclass(frozen=True)
@@ -321,7 +274,7 @@ class RiskReport:
     ``nodes`` counts the rates at which the criterion was evaluated, over
     every Gauss-Legendre rule tried and every segment of the prior;
     ``error`` is the last doubling difference, summed over the segments
-    and scaled like ``value``.  Both are 0 for the closed forms.
+    and scaled like ``value``.  Segments in closed form add to neither.
     """
 
     value: float
@@ -329,31 +282,59 @@ class RiskReport:
     error: float
 
 
-def _risk(criterion: str, prior: ThetaPrior, gaps, model: str) -> RiskReport:
-    """Bayes risk on a unit-sum gap vector; also the optimizer's objective."""
-    nodes, error = 0, 0.0
-    if model == "simple" and prior.kind == "uniform":
-        t1, t2 = prior.theta1, prior.theta2
-        if criterion == "smspe":
-            d = float(gaps.max())
-            value = 2.0 * (_log_cosh(0.5 * t2 * d) - _log_cosh(0.5 * t1 * d)) / (d * (t2 - t1))
-        else:
-            s1, s2 = _log_sinhc(np.multiply.outer((t1, t2), gaps)).sum(axis=-1)
-            value = float(s2 - s1) / (t2 - t1)
-    else:
-        value, nodes, error = _prior_quadrature(prior, criterion, gaps, model)
+def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = False) -> RiskReport:
+    """Bayes risk on a unit-sum gap vector; also the optimizer's objective.
+
+    Walks the prior's segments.  The simple model on a flat segment takes
+    the closed form of :func:`_flat_integral` times the density.  Every
+    other segment takes Gauss-Legendre quadrature, doubling the node count
+    from ``RISK_QUAD_START`` until two successive estimates differ by at
+    most ``RISK_QUAD_TOL`` times the newer one's largest entry; the nodes
+    are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.  With
+    ``terms=True`` the per-interval terms are averaged instead, and
+    ``value`` is an array with one average per gap.
+    """
+    block = max(1, _RISK_QUAD_BLOCK // gaps.size)
+    pick = 0 if terms else 1
+    total, nodes, error = 0.0, 0, 0.0
+    for seg, ((lo, r_lo), (hi, r_hi)) in enumerate(zip(prior.nodes, prior.nodes[1:])):
+        if model == "simple" and r_lo == r_hi:
+            total += r_lo * _flat_integral(criterion, lo, hi, gaps, terms)
+            continue
+        m, prev = RISK_QUAD_START, None
+        while True:
+            thetas, weights = _prior_rule(prior, m)[seg]
+            est = sum(weights[j:j + block] @ kern._interval_terms(
+                thetas[j:j + block], gaps, criterion, model, terms=terms)[pick]
+                for j in range(0, m, block))
+            nodes += m
+            if prev is not None:
+                diff = float(np.max(np.abs(est - prev)))
+                if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
+                    break
+            if m >= RISK_QUAD_MAX:
+                raise NumericError(
+                    f"risk quadrature did not stabilize to a relative {RISK_QUAD_TOL} "
+                    f"within {RISK_QUAD_MAX} nodes on segment {seg} of the prior"
+                )
+            prev = est
+            m *= 2
+        total += est
+        error += diff
+    value = total if terms else float(total)
     return RiskReport(prior.e_sigma11 * value, nodes, prior.e_sigma11 * error)
 
 
 def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
     """Prior-averaged supremum criterion.
 
-    For the uniform prior and the simple model the theta-integral of
-    ``tanh(theta d_max / 2)`` is ``log cosh``, giving the closed form
+    For the simple model the theta-integral of ``tanh(theta d_max / 2)``
+    over a flat segment ``[a, b]`` of density ``r`` is ``log cosh``,
+    giving the segment's closed form
 
-        ``E_sigma * 2 (log cosh(t2 d / 2) - log cosh(t1 d / 2)) / (d (t2 - t1))``
+        ``E_sigma * r * 2 (log cosh(b d / 2) - log cosh(a d / 2)) / d``
 
-    with ``d`` the widest gap.  Everything else goes through the prior
+    with ``d`` the widest gap.  Every other segment goes through the prior
     quadrature.
     """
     return risk_report("smspe", prior, design, model).value
@@ -362,13 +343,14 @@ def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> floa
 def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
     """Prior-averaged integrated criterion.
 
-    For the uniform prior and the simple model the theta-integral of
-    ``(x coth x - 1) / theta`` is ``log(sinh x / x)`` with ``x = theta d``:
+    For the simple model the theta-integral of ``(x coth x - 1) / theta``
+    is ``log(sinh x / x)`` with ``x = theta d``; over a flat segment
+    ``[a, b]`` of density ``r`` that gives
 
-        ``E_sigma * sum_i (S(t2 d_i) - S(t1 d_i)) / (t2 - t1)``,
+        ``E_sigma * r * sum_i (S(b d_i) - S(a d_i))``,
         ``S(x) = log(sinh x / x)``.
 
-    Everything else goes through the prior quadrature.
+    Every other segment goes through the prior quadrature.
     """
     return risk_report("imspe", prior, design, model).value
 
@@ -389,11 +371,11 @@ def risk_report(criterion: str, prior: ThetaPrior, design: Design,
 def relative_efficiency(reference_value: float, candidate_value: float) -> float:
     """Ratio of a reference (usually optimal) criterion to a candidate's.
 
-    Both values must be positive; a candidate no better than the
+    Both values must be finite and positive; a candidate no better than the
     reference yields a ratio in (0, 1].
     """
     if not (np.isfinite(reference_value) and reference_value > 0):
-        raise DomainError(f"reference value must be positive, got {reference_value}")
+        raise DomainError(f"reference value must be finite and positive, got {reference_value}")
     if not (np.isfinite(candidate_value) and candidate_value > 0):
-        raise DomainError(f"candidate value must be positive, got {candidate_value}")
+        raise DomainError(f"candidate value must be finite and positive, got {candidate_value}")
     return float(reference_value) / float(candidate_value)

@@ -134,8 +134,8 @@ def rescale(design: Design, theta: float) -> tuple[Design, float]:
     """
     if design.n < 2:
         raise DomainError("cannot rescale a single-site design")
-    if not theta > 0:
-        raise DomainError(f"decay rate must be positive, got {theta}")
+    if not (np.isfinite(theta) and theta > 0):
+        raise DomainError(f"decay rate must be finite and positive, got {theta}")
     length = design.length
     unit = Design(0.0, 1.0, design.gaps / length)
     return unit, theta * length

@@ -60,9 +60,9 @@ class ExponentialKernel:
 
     def __post_init__(self):
         if not (np.isfinite(self.theta) and self.theta > 0):
-            raise DomainError(f"decay rate must be positive, got {self.theta}")
+            raise DomainError(f"decay rate must be finite and positive, got {self.theta}")
         if not (np.isfinite(self.sigma11) and self.sigma11 > 0):
-            raise DomainError(f"variance must be positive, got {self.sigma11}")
+            raise DomainError(f"variance must be finite and positive, got {self.sigma11}")
 
     def corr(self, h) -> np.ndarray:
         """Correlation at (array of) distances ``h``."""
@@ -75,7 +75,7 @@ class ExponentialKernel:
 def _check_theta(theta: float) -> float:
     theta = float(theta)
     if not (np.isfinite(theta) and theta > 0):
-        raise DomainError(f"decay rate must be positive, got {theta}")
+        raise DomainError(f"decay rate must be finite and positive, got {theta}")
     return theta
 
 

@@ -100,7 +100,7 @@ class OptimizationProblem:
             if self.kernel is None or self.prior is not None:
                 raise DomainError(f"criterion {self.criterion!r} takes a kernel, not a prior")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,17 @@ def _objective(problem: OptimizationProblem):
     maximum) rather than an integrated criterion's value.
 
     Both come from the gap-level functions behind the public criteria,
-    closed forms included, minus their checks.  For ``risk_smspe`` each
-    term is averaged over the prior: every term rises with its own gap at
-    every rate, so the widest gap holds the largest term at every rate,
-    and the average of the maximum is the maximum of the averages.
+    minus their checks; a risk is one ``_risk`` walk over the prior's
+    segments, closed forms included.  For ``risk_smspe`` each term is
+    averaged over the prior: every term rises with its own gap at every
+    rate, so the widest gap holds the largest term at every rate, and the
+    average of the maximum is the maximum of the averages.
     """
     model = problem.model
     epigraph = problem.criterion.endswith("smspe")
     if problem.prior is not None:
-        prior = problem.prior
-        if epigraph:
-            return (lambda g: prior.e_sigma11
-                    * crit._prior_average(prior, "smspe", g, model, terms=True)), True
-        return (lambda g: crit._risk("imspe", prior, g, model).value), False
+        prior, criterion = problem.prior, problem.criterion.removeprefix("risk_")
+        return (lambda g: crit._risk(criterion, prior, g, model, terms=epigraph).value), epigraph
     theta, s11 = problem.kernel.theta, problem.kernel.sigma11
     if epigraph:
         return (lambda g: s11 * kern._interval_terms(theta, g, "smspe", model)[0]), True

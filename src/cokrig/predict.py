@@ -119,7 +119,7 @@ def _check_pair(kernel) -> tuple[float, Correlogram]:
     if not isinstance(corr, Correlogram):
         raise DomainError(f"second element must be a Correlogram, got {corr!r}")
     if not (np.isfinite(sigma11) and sigma11 > 0):
-        raise DomainError(f"variance must be positive, got {sigma11}")
+        raise DomainError(f"variance must be finite and positive, got {sigma11}")
     return float(sigma11), corr
 
 

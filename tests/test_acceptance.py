@@ -158,7 +158,7 @@ def _widest_gap_intervals(risk, tol):
 
 def _plugin_risk_smspe(prior, design):
     """SMSPE at the prior's midpoint rate, ignoring the prior's spread."""
-    theta = 0.5 * (prior.theta1 + prior.theta2)
+    theta = 0.5 * sum(prior.support)
     return prior.e_sigma11 * smspe(ExponentialKernel(theta), design).value
 
 

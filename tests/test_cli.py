@@ -583,6 +583,32 @@ def test_ingest_roundtrip(capsys, tmp_path):
     assert load_design_text(out_file.read_text()).n == 3
 
 
+@pytest.mark.parametrize("kind", ["design", "stations", "observations", "prior", "config"])
+def test_input_files_may_start_with_a_byte_order_mark(capsys, tmp_path, kind):
+    # spreadsheet exports often begin with a UTF-8 byte-order mark
+    z1, z2 = simulate_observations(equispaced(6), 17.12, 0.85, 0.94, 0.25, seed=6)
+    dpath = write_design(tmp_path, equispaced(6).gaps)
+    text, argv = {
+        "design": ("".join(f"{g!r}\n" for g in (0.1, 0.2, 0.3, 0.4)),
+                   ["evaluate", "--criterion", "imspe", "--theta", "17.12", "--design"]),
+        "stations": ("station_id,lat,lon,order\na,0,0.0,1\nb,0,0.3,2\nc,0,1.0,3\n",
+                     ["ingest", "--stations"]),
+        "observations": (obs_csv_text(z1[0], z2[0]),
+                         ["fit", "--design", dpath, "--observations"]),
+        "prior": ("16.62 1.0\n17.62 1.0\n",
+                  ["risk", "--criterion", "smspe", "--n", "17", "--prior-file"]),
+        "config": (format_config(GeneralizedMarkov(
+            S11, 0.94, 0.25, ExponentialCorrelogram(THETA), NuggetCorrelogram())),
+                   ["evaluate", "--criterion", "smspe", "--n", "17", "--spec"]),
+    }[kind]
+    outs = []
+    for bom in ("", "\ufeff"):
+        path = tmp_path / f"{kind}{len(bom)}.txt"
+        path.write_text(bom + text, encoding="utf-8")
+        outs.append(run_ok(capsys, argv + [str(path)])[0])
+    assert outs[0] == outs[1] != ""
+
+
 # --------------------------------------------------------------------------
 # profile
 # --------------------------------------------------------------------------

@@ -75,6 +75,25 @@ def test_tabulated_prior_validation():
         ThetaPrior.tabulated([1.0], [1.0])
     with pytest.raises(DomainError):
         ThetaPrior.tabulated([1.0, 2.0], [2.0, -0.1])
+    with pytest.raises(DomainError, match="pairs"):
+        ThetaPrior.tabulated([1.0, 2.0, 3.0], [0.5, 0.5])
+
+
+def test_prior_built_from_its_node_table():
+    p = ThetaPrior(((1.0, 0.5), (3.0, 0.5)))
+    assert p.support == (1.0, 3.0) and p.density(2.0) == 0.5
+    listed = ThetaPrior([[1, 0.5], np.array([3.0, 0.5])])
+    assert listed.nodes == ((1.0, 0.5), (3.0, 0.5))
+    assert all(type(v) is float for pair in listed.nodes for v in pair)
+    assert listed == p and hash(listed) == hash(p)
+    assert risk_report("smspe", listed, equispaced(5)).value > 0.0
+
+
+@pytest.mark.parametrize("nodes", ["uniform", ((1.0,), (3.0, 0.5)), ((1.0, 0.5),),
+                                   ((1.0, 0.5, 0.0), (3.0, 0.5)), 7.0, None])
+def test_malformed_prior_table_is_a_domain_error(nodes):
+    with pytest.raises(DomainError):
+        ThetaPrior(nodes)
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +276,7 @@ def test_risk_smspe_is_the_largest_averaged_term(kind, model, rng):
     for n in (3, 8, 17):
         gaps = oracles.random_design_gaps(rng, n)
         want = 0.85 * np.array(oracles.mp_prior_averaged_smspe_terms(rates, densities, gaps, model))
-        terms = prior.e_sigma11 * crit._prior_average(prior, "smspe", gaps, model, terms=True)
+        terms = crit._risk("smspe", prior, gaps, model, terms=True).value
         np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0.0)
         got = risk_smspe(prior, Design(0.0, 1.0, tuple(gaps)), model)
         assert got == pytest.approx(want.max(), rel=1e-12)
@@ -299,11 +318,27 @@ def test_flat_tabulated_prior_matches_uniform(xi0):
     t1, t2 = 12.84, 21.4
     flat = ThetaPrior.tabulated([t1, t2], [1.0 / (t2 - t1)] * 2)
     uniform = ThetaPrior.uniform(t1, t2)
-    for model in ("simple", "ordinary"):
-        assert risk_smspe(flat, xi0, model) == pytest.approx(
-            risk_smspe(uniform, xi0, model), abs=1e-7)
-        assert risk_imspe(flat, xi0, model) == pytest.approx(
-            risk_imspe(uniform, xi0, model), abs=1e-7)
+    assert flat == uniform and hash(flat) == hash(uniform)
+    for criterion in ("smspe", "imspe"):
+        # closed form on the flat segment for the simple model only
+        for model, nodes in (("simple", 0), ("ordinary", 8 + 16)):
+            report = risk_report(criterion, flat, xi0, model)
+            assert report.nodes == nodes
+            assert report.value == pytest.approx(
+                _risk_oracle(uniform, xi0, model, criterion), abs=1e-7)
+
+
+def test_flat_and_sloped_segments(rng, xi0):
+    # flat on [15.12, 17.12], falling linearly to 0 on [17.12, 19.12]
+    prior = ThetaPrior.tabulated([15.12, 17.12, 19.12], [1.0 / 3.0, 1.0 / 3.0, 0.0],
+                                 e_sigma11=0.85)
+    sloped = ThetaPrior.tabulated([17.12, 19.12], [1.0, 0.0])
+    for design in (xi0, equispaced(6), _random_unit_design(rng, 9)):
+        for criterion in ("smspe", "imspe"):
+            report = risk_report(criterion, prior, design, "simple")
+            assert report.value == pytest.approx(
+                _risk_oracle(prior, design, "simple", criterion), abs=1e-7)
+            assert report.nodes == risk_report(criterion, sloped, design, "simple").nodes > 0
 
 
 def test_risks_scale_with_mean_variance(xi0):

@@ -9,12 +9,16 @@ from cokrig import (
     ConditioningError,
     Design,
     DomainError,
+    ExponentialCorrelogram,
     ExponentialKernel,
     ExtrapolationError,
+    OptimizationProblem,
+    ThetaPrior,
     equispaced,
     ones_quadratic_form,
     precision_matrix,
     quad_forms_at,
+    rescale,
 )
 
 
@@ -35,6 +39,22 @@ def test_kernel_parameter_validation():
         ExponentialKernel(1.0, sigma11=0.0)
     with pytest.raises(DomainError):
         ExponentialKernel(math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda v: ExponentialKernel(v),
+    lambda v: ExponentialKernel(1.0, sigma11=v),
+    lambda v: ones_quadratic_form(equispaced(3), v),
+    lambda v: ExponentialCorrelogram(v),
+    lambda v: ThetaPrior.uniform(1.0, 2.0, e_sigma11=v),
+    lambda v: OptimizationProblem(3, "smspe", kernel=ExponentialKernel(1.0), tolerance=v),
+    lambda v: rescale(equispaced(3, 0.0, 2.0), v),
+], ids=["theta", "sigma11", "check_theta", "correlogram", "e_sigma11", "tolerance",
+        "rescale"])
+def test_rates_and_scales_must_be_finite_and_positive(check, bad):
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        check(bad)
 
 
 def test_kernel_corr_and_cov():
