@@ -38,7 +38,6 @@ from .covmodel import (
     ValidityReport,
     build_cross_vector,
     build_joint_covariance,
-    eval_pair,
     format_config,
     parse_config,
     reduction_applies,
@@ -55,7 +54,7 @@ from .criteria import (
     risk_smspe,
     smspe,
 )
-from .design import Design, equispaced, majorization_perturb, rescale
+from .design import Design, equispaced, rescale
 from .exceptions import (
     CokrigError,
     ConditioningError,
@@ -104,7 +103,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # design
-    "Design", "equispaced", "rescale", "majorization_perturb",
+    "Design", "equispaced", "rescale",
     # kernel
     "ExponentialKernel", "precision_matrix",
     "ones_quadratic_form", "quad_forms_at",
@@ -112,7 +111,7 @@ __all__ = [
     "Correlogram", "ExponentialCorrelogram", "SquaredExponentialCorrelogram",
     "Matern15Correlogram", "NuggetCorrelogram", "BivariateCovariance",
     "GeneralizedMarkov", "Proportional", "NS1", "Mat05", "Mat15", "MatInf",
-    "NS2", "NS3", "ValidityReport", "eval_pair", "build_joint_covariance",
+    "NS2", "NS3", "ValidityReport", "build_joint_covariance",
     "build_cross_vector", "validate", "reduction_applies", "parse_config",
     "format_config",
     # prediction

@@ -56,7 +56,6 @@ __all__ = [
     "MatInf",
     "NS2",
     "NS3",
-    "eval_pair",
     "build_joint_covariance",
     "build_cross_vector",
     "validate",
@@ -88,9 +87,6 @@ class Correlogram:
     def value(self, h):
         raise NotImplementedError
 
-    def __call__(self, h):
-        return self.value(h)
-
 
 @dataclass(frozen=True)
 class ExponentialCorrelogram(Correlogram):
@@ -119,31 +115,10 @@ class ExponentialCorrelogram(Correlogram):
 
 
 @dataclass(frozen=True)
-class SquaredExponentialCorrelogram(Correlogram):
-    """``base ** (h^2)``: infinitely smooth, Gaussian-shaped."""
+class _BaseCorrelogram(Correlogram):
+    """A correlogram given by its decay ``base`` in (0, 1); ``rate = -log(base)``."""
 
     base: float
-    kind = "squared-exponential"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.base) and 0.0 < self.base < 1.0):
-            raise DomainError(f"base must lie in (0, 1), got {self.base}")
-
-    def value(self, h):
-        hh = _as_distance(h)
-        return np.exp(math.log(self.base) * hh * hh)
-
-
-@dataclass(frozen=True)
-class Matern15Correlogram(Correlogram):
-    """``(1 + rate * h) * exp(-rate * h)`` with ``rate = -log(base)``.
-
-    Once mean-square differentiable, between the exponential and the
-    squared-exponential in smoothness.
-    """
-
-    base: float
-    kind = "matern15"
 
     def __post_init__(self):
         if not (np.isfinite(self.base) and 0.0 < self.base < 1.0):
@@ -152,6 +127,25 @@ class Matern15Correlogram(Correlogram):
     @property
     def rate(self) -> float:
         return -math.log(self.base)
+
+
+@dataclass(frozen=True)
+class SquaredExponentialCorrelogram(_BaseCorrelogram):
+    """``base ** (h^2)``: infinitely smooth, Gaussian-shaped."""
+
+    kind = "squared-exponential"
+
+    def value(self, h):
+        hh = _as_distance(h)
+        return np.exp(-self.rate * hh * hh)
+
+
+@dataclass(frozen=True)
+class Matern15Correlogram(_BaseCorrelogram):
+    """``(1 + rate * h) * exp(-rate * h)``: once mean-square differentiable,
+    between the exponential and the squared-exponential in smoothness."""
+
+    kind = "matern15"
 
     def value(self, h):
         hh = _as_distance(h)
@@ -187,9 +181,6 @@ class ValidityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 # --------------------------------------------------------------------------
@@ -549,17 +540,6 @@ class NS3(_LambdaFamily):
 # --------------------------------------------------------------------------
 # module-level operations
 # --------------------------------------------------------------------------
-
-def eval_pair(model: BivariateCovariance, i: int, j: int, h):
-    """Covariance ``C_ij`` at distance(s) ``h`` (scalar in, scalar out)."""
-    pair = {(1, 1): model.cov11, (1, 2): model.cov12, (2, 1): model.cov12, (2, 2): model.cov22}
-    if (i, j) not in pair:
-        raise DomainError(f"process indices must be 1 or 2, got {(i, j)}")
-    out = pair[i, j](h)
-    if np.isscalar(h) or np.ndim(h) == 0:
-        return float(out)
-    return out
-
 
 def build_joint_covariance(model: BivariateCovariance, design: Design) -> np.ndarray:
     """Dense ``2n x 2n`` covariance of the stacked vector ``(Z1, Z2)``.

@@ -92,8 +92,6 @@ def _check_kernel(kernel) -> ExponentialKernel:
 
 
 def _require_unit(design: Design):
-    if design.n < 2:
-        raise DomainError("criteria need at least two sites")
     if not design.is_unit_interval():
         raise DomainError(
             "criteria are defined for designs on [0, 1]; rescale first"

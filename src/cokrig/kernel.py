@@ -64,13 +64,6 @@ class ExponentialKernel:
         if not (np.isfinite(self.sigma11) and self.sigma11 > 0):
             raise DomainError(f"variance must be finite and positive, got {self.sigma11}")
 
-    def corr(self, h) -> np.ndarray:
-        """Correlation at (array of) distances ``h``."""
-        return np.exp(-self.theta * np.abs(np.asarray(h, dtype=float)))
-
-    def cov(self, h) -> np.ndarray:
-        return self.sigma11 * self.corr(h)
-
 
 def _check_theta(theta: float) -> float:
     theta = float(theta)
@@ -93,14 +86,12 @@ def precision_matrix(design: Design, theta: float) -> np.ndarray:
     """
     theta = _check_theta(theta)
     gaps = design.gaps
-    if gaps.size and theta * gaps.min() < MIN_THETA_GAP:
+    if theta * gaps.min() < MIN_THETA_GAP:
         raise ConditioningError(
             f"theta * gap = {theta * gaps.min():.3e} below {MIN_THETA_GAP:.0e}; "
             "sites are numerically coincident"
         )
     n = design.n
-    if n == 1:
-        return np.array([[1.0]])
     w = -np.expm1(-2.0 * theta * gaps)
     diag = np.empty(n)
     diag[0] = 1.0
@@ -215,8 +206,6 @@ def _pointwise(design: Design, theta: float, x0, ordinary: bool = False,
     on the bracketing sites, plus for ``ordinary`` ``P^{-1} 1 = (t_{j-1} +
     t_j) / 2`` (``t_0 = t_n = 1``) times ``cross / q0``.
     """
-    if design.n < 2:
-        raise DomainError("need at least two sites to bracket a target")
     x0 = _bracket(design, x0)
     pts = design.points
     i = np.minimum(np.searchsorted(pts, x0, side="right") - 1, design.n - 2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design
+from .design import Design, _count
 from .exceptions import ConditioningError, DomainError
 from .kernel import MIN_THETA_GAP
 
@@ -147,8 +147,7 @@ def simulate_observations(
     """Draw ``(z1, z2)`` replicate matrices of shape ``(replicates, n)``;
     ``z1`` follows the AR(1) recursion, i.e. the rows of P's Cholesky factor."""
     tau = _check_params(theta, sigma11, sigma22, rho)
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    replicates = _count(replicates, "replicates", 1)
     rng = np.random.default_rng(seed)
     x = theta * design.gaps
     keep, scale = np.exp(-x), np.sqrt(-np.expm1(-2.0 * x))

@@ -27,7 +27,7 @@ import numpy as np
 from . import criteria as crit
 from . import kernel as kern
 from .criteria import ThetaPrior
-from .design import Design
+from .design import Design, _count
 from .exceptions import DomainError
 from .kernel import ExponentialKernel
 
@@ -87,8 +87,7 @@ class OptimizationProblem:
     tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"need n >= 2 sites, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "n", 2))
         if self.criterion not in CRITERIA:
             raise DomainError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         if self.model not in crit.MODELS:

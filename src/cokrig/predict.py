@@ -5,16 +5,15 @@ unknown constant mean per process via the usual augmented equations.
 
 * Kriging with an exponential correlogram, given as an
   :class:`ExponentialKernel` or a ``(sigma11, ExponentialCorrelogram)``
-  pair, is O(n) per target on two or more sites: the kernel is Markov
-  on the transect, so the simple-kriging weights sit on the two sites
-  bracketing the target, and the ordinary model adds the closed-form
-  ``P^{-1} 1``.  The error comes from the same bracket.
+  pair, is O(n) per target: the kernel is Markov on the transect, so
+  the simple-kriging weights sit on the two sites bracketing the
+  target, and the ordinary model adds the closed-form ``P^{-1} 1``.
+  The error comes from the same bracket.
 * Cokriging a valid model with ``C12 = c * C11`` (``reduction_applies``)
   is kriging of the primary from its own data, with zero secondary
   weights.
 * One dense Cholesky solve serves the rest: kriging with any other
-  correlogram or on one site, and cokriging the non-reducible families
-  (NS2, NS3).
+  correlogram, and cokriging the non-reducible families (NS2, NS3).
 
 No pseudo-inverse is used anywhere: a factorization failure raises
 ``ConditioningError``.
@@ -156,7 +155,7 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
         sigma11, corr = kernel.sigma11, ExponentialCorrelogram(kernel.theta)
     else:
         sigma11, corr = _check_pair(kernel)
-    if isinstance(corr, ExponentialCorrelogram) and design.n > 1:  # one site has no bracket
+    if isinstance(corr, ExponentialCorrelogram):
         err, _, weights = kern._pointwise(design, corr.rate, float(x0), ordinary, weights=True)
         mspe = sigma11 * float(err)
     else:
@@ -173,9 +172,9 @@ def simple_krige(kernel, design: Design, z1, x0: float) -> PredictionResult:
     """Zero-mean kriging of the primary process from its own data.
 
     ``kernel`` is an :class:`ExponentialKernel` or a ``(sigma11,
-    Correlogram)`` pair.  An exponential correlogram on two or more sites
-    gets closed-form weights on the two bracketing sites; anything else
-    takes the dense route.
+    Correlogram)`` pair.  An exponential correlogram gets closed-form
+    weights on the two bracketing sites; anything else takes the dense
+    route.
     """
     return _krige(kernel, design, z1, x0, ordinary=False)
 

@@ -5,7 +5,8 @@ full correlation matrix, call ``numpy.linalg`` on it, and read the
 answer off the textbook formulas; take a criterion's supremum on a grid
 and its integral by adaptive quadrature; enumerate a simplex grid of
 designs.  The package must agree with these to tight tolerances; the
-package itself never calls them.
+package itself never calls them.  ``majorization_perturb`` builds the
+more uneven designs of the Schur-convexity tests.
 """
 
 from math import comb
@@ -136,6 +137,31 @@ def random_design_gaps(rng: np.random.Generator, n: int, min_gap: float = 0.02):
     assert k * min_gap < 1.0
     raw = rng.dirichlet(np.ones(k))
     return min_gap + (1.0 - k * min_gap) * raw
+
+
+def majorization_perturb(design: Design, from_idx: int, to_idx: int, eps: float) -> Design:
+    """Move gap mass from a smaller gap onto a larger one.
+
+    Subtracts ``eps`` from ``gaps[from_idx]`` and adds it to
+    ``gaps[to_idx]``.  Requires ``gaps[to_idx] >= gaps[from_idx]`` and
+    ``0 < eps < gaps[from_idx]``, so the new gap vector majorizes the
+    old one: the design becomes more uneven while the total length and
+    the number of sites stay fixed.  Every design criterion in the
+    package is Schur-convex, hence never decreases under this move.
+    """
+    gaps = design.gaps.copy()
+    k = gaps.size
+    if not (0 <= from_idx < k and 0 <= to_idx < k):
+        raise DomainError(f"gap indices must lie in [0, {k - 1}]")
+    if from_idx == to_idx:
+        raise DomainError("perturbation needs two distinct gaps")
+    if gaps[to_idx] < gaps[from_idx]:
+        raise DomainError("mass must move toward the larger gap")
+    if not (0 < eps < gaps[from_idx]):
+        raise DomainError(f"eps must lie strictly inside (0, {gaps[from_idx]})")
+    gaps[from_idx] -= eps
+    gaps[to_idx] += eps
+    return Design(design.x_start, design.x_end, gaps)
 
 
 def mp_prior_averaged_smspe_terms(rates, densities, gaps, model, dps=30):

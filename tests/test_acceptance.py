@@ -40,7 +40,6 @@ from cokrig import (
     fit_mle,
     imspe,
     loglikelihood,
-    majorization_perturb,
     mspe_closed_form,
     optimize,
     ordinary_cokrige,
@@ -53,7 +52,7 @@ from cokrig import (
     smspe,
 )
 from cokrig.kernel import precision_matrix
-from oracles import brute_force_min, imspe_numeric, smspe_numeric
+from oracles import brute_force_min, imspe_numeric, majorization_perturb, smspe_numeric
 
 XI0 = Design(0.0, 1.0, XI0_GAPS)
 THETA_HAT = 17.12

@@ -27,7 +27,6 @@ from cokrig import (
     build_cross_vector,
     build_joint_covariance,
     equispaced,
-    eval_pair,
     format_config,
     parse_config,
     reduction_applies,
@@ -109,11 +108,11 @@ def test_correlograms_vectorize():
 
 def test_validity_report_semantics():
     ok = ValidityReport()
-    assert ok.ok and bool(ok)
+    assert ok.ok
     bad = ValidityReport(violations=("nope",))
-    assert not bad.ok and not bool(bad)
+    assert not bad.ok
     warned = ValidityReport(warnings=("careful",))
-    assert warned.ok and bool(warned)
+    assert warned.ok
 
 
 # --------------------------------------------------------------------------
@@ -122,48 +121,48 @@ def test_validity_report_semantics():
 
 def test_mat05_values():
     m = Mat05(sigma11=2.0, sigma22=3.0, lam=1 / E, lamc=0.4)
-    assert eval_pair(m, 1, 1, 0.0) == pytest.approx(2.0, rel=1e-15)
-    assert eval_pair(m, 1, 2, 1.0) == pytest.approx(math.sqrt(6.0) * 0.4 / E, rel=1e-12)
-    assert eval_pair(m, 2, 2, 2.0) == pytest.approx(3.0 / E**2, rel=1e-12)
+    assert m.cov11(0.0) == pytest.approx(2.0, rel=1e-15)
+    assert m.cov12(1.0) == pytest.approx(math.sqrt(6.0) * 0.4 / E, rel=1e-12)
+    assert m.cov22(2.0) == pytest.approx(3.0 / E**2, rel=1e-12)
     assert m.sigma12 == pytest.approx(math.sqrt(6.0) * 0.4, rel=1e-12)
 
 
 def test_mat15_values():
     m = Mat15(sigma11=1.0, sigma22=1.0, lam=1 / E, lamc=0.3)
     # (1 + r h) e^{-r h} with r = 1
-    assert eval_pair(m, 1, 1, 1.0) == pytest.approx(2.0 / E, rel=1e-12)
-    assert eval_pair(m, 1, 2, 1.0) == pytest.approx(0.6 / E, rel=1e-12)
+    assert m.cov11(1.0) == pytest.approx(2.0 / E, rel=1e-12)
+    assert m.cov12(1.0) == pytest.approx(0.6 / E, rel=1e-12)
 
 
 def test_matinf_values():
     m = MatInf(sigma11=1.0, sigma22=1.0, lam=1 / E, lamc=0.3)
-    assert eval_pair(m, 1, 1, 2.0) == pytest.approx(math.exp(-4.0), rel=1e-12)
-    assert eval_pair(m, 1, 2, 0.0) == pytest.approx(0.3, rel=1e-12)
+    assert m.cov11(2.0) == pytest.approx(math.exp(-4.0), rel=1e-12)
+    assert m.cov12(0.0) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_ns1_values():
     m = NS1(sigma11=1.0, sigma22=1.0, lam=0.5, lamc=0.5)
     # lamc^2 lam^h + (1 - lamc^2) lam^{2h} at h = 1
-    assert eval_pair(m, 2, 2, 1.0) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25, rel=1e-12)
-    assert eval_pair(m, 2, 2, 1.0) == pytest.approx(0.3125, abs=1e-15)
-    assert eval_pair(m, 1, 2, 1.0) == pytest.approx(0.25, rel=1e-12)
-    assert eval_pair(m, 1, 1, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert m.cov22(1.0) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25, rel=1e-12)
+    assert m.cov22(1.0) == pytest.approx(0.3125, abs=1e-15)
+    assert m.cov12(1.0) == pytest.approx(0.25, rel=1e-12)
+    assert m.cov11(1.0) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_ns2_values_and_auto_exponent():
     m = NS2(sigma11=1.0, sigma22=1.0, lam=1 / E, lamc=0.5)
     assert m.alpha == pytest.approx(0.75, abs=1e-12)
-    assert eval_pair(m, 1, 1, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert m.cov11(2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
     # cross decays with exponent alpha * h
-    assert eval_pair(m, 1, 2, 2.0) == pytest.approx(0.5 * math.exp(-1.5), rel=1e-12)
-    assert eval_pair(m, 2, 2, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert m.cov12(2.0) == pytest.approx(0.5 * math.exp(-1.5), rel=1e-12)
+    assert m.cov22(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_ns3_values():
     m = NS3(sigma11=1.0, sigma22=1.0, lam=1 / E, lamc=0.2)
-    assert eval_pair(m, 1, 2, 1.0) == pytest.approx(0.4 / E, rel=1e-12)
-    assert eval_pair(m, 2, 2, 1.0) == pytest.approx((7.0 / 3.0) / E, rel=1e-12)
-    assert eval_pair(m, 1, 1, 1.0) == pytest.approx(1.0 / E, rel=1e-12)
+    assert m.cov12(1.0) == pytest.approx(0.4 / E, rel=1e-12)
+    assert m.cov22(1.0) == pytest.approx((7.0 / 3.0) / E, rel=1e-12)
+    assert m.cov11(1.0) == pytest.approx(1.0 / E, rel=1e-12)
 
 
 def test_generalized_markov_values():
@@ -173,35 +172,22 @@ def test_generalized_markov_values():
         c_r=ExponentialCorrelogram(5.0),
     )
     h = 0.07
-    assert eval_pair(m, 1, 2, h) == pytest.approx(
+    assert m.cov12(h) == pytest.approx(
         0.25 * 0.85 * math.exp(-17.12 * h), rel=1e-12)
-    assert eval_pair(m, 2, 2, 0.0) == pytest.approx(0.94, rel=1e-12)
+    assert m.cov22(0.0) == pytest.approx(0.94, rel=1e-12)
     margin = 0.94 - 0.25**2 * 0.85
     assert m.residual_margin == pytest.approx(margin, rel=1e-12)
-    assert eval_pair(m, 2, 2, h) == pytest.approx(
+    assert m.cov22(h) == pytest.approx(
         0.25**2 * 0.85 * math.exp(-17.12 * h) + margin * math.exp(-5.0 * h),
         rel=1e-12)
 
 
-def test_eval_pair_symmetry_and_types():
+def test_covariances_take_arrays_and_are_isotropic():
     m = Mat15(1.0, 2.0, 0.4, 0.3)
-    assert eval_pair(m, 2, 1, 0.8) == eval_pair(m, 1, 2, 0.8)
-    assert isinstance(eval_pair(m, 1, 1, 0.5), float)
-    out = eval_pair(m, 1, 1, np.array([0.1, 0.2]))
+    out = m.cov11(np.array([0.1, 0.2]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     # isotropy in one dimension: only |h| matters
-    assert eval_pair(m, 1, 2, -0.8) == eval_pair(m, 1, 2, 0.8)
-
-
-def test_eval_pair_rejects_bad_indices():
-    m = Mat05(1.0, 1.0, 0.5, 0.2)
-    with pytest.raises(DomainError):
-        eval_pair(m, 0, 1, 0.5)
-    with pytest.raises(DomainError):
-        eval_pair(m, 1, 3, 0.5)
-    for model in ROUND_TRIP_MODELS:
-        with pytest.raises(DomainError, match="process indices must be 1 or 2"):
-            eval_pair(model, 1, 3, np.array([0.1, 0.2]))
+    assert m.cov12(-0.8) == m.cov12(0.8)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from cokrig import (
     ThetaPrior,
     equispaced,
     imspe,
-    majorization_perturb,
     mspe_closed_form,
     relative_efficiency,
     risk_imspe,
@@ -27,7 +26,7 @@ from cokrig import (
 )
 from cokrig import criteria as crit
 import oracles
-from oracles import imspe_numeric, smspe_numeric
+from oracles import imspe_numeric, majorization_perturb, smspe_numeric
 
 
 def _random_unit_design(rng, n_max=7):

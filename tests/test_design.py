@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cokrig import Design, DomainError, ExponentialKernel, equispaced, imspe, majorization_perturb, rescale, smspe
+from cokrig import (Design, DomainError, ExponentialKernel, OptimizationProblem, equispaced, imspe,
+                    optimize, rescale, simulate_observations, smspe)
+from oracles import majorization_perturb
 
 
 def test_points_are_cumulative_gaps():
@@ -39,19 +41,6 @@ def test_gaps_and_points_are_read_only_arrays_built_once():
         assert other.points.tolist() == d.points.tolist()
 
 
-def test_from_points_round_trip():
-    d = Design.from_points([1.0, 1.5, 2.25, 4.0])
-    assert d.x_start == 1.0 and d.x_end == 4.0
-    assert d.gaps.tolist() == [0.5, 0.75, 1.75]
-
-
-def test_from_points_rejects_non_increasing():
-    with pytest.raises(DomainError):
-        Design.from_points([0.0, 0.5, 0.5])
-    with pytest.raises(DomainError):
-        Design.from_points([3.0])
-
-
 def test_gap_positivity_enforced():
     with pytest.raises(DomainError):
         Design(0.0, 1.0, (0.5, 0.0, 0.5))
@@ -79,12 +68,10 @@ def test_large_sum_error_is_rejected():
         Design(0.0, 1.0, (0.5, 0.6))
 
 
-def test_single_site_design():
-    d = Design.single(2.5)
-    assert d.n == 1
-    assert d.points.tolist() == [2.5]
-    with pytest.raises(DomainError):
-        Design(0.0, 1.0, ())
+def test_a_design_needs_two_sites():
+    for x_end in (2.5, 3.0):
+        with pytest.raises(DomainError, match="at least two sites"):
+            Design(2.5, x_end, ())
 
 
 def test_equispaced_constructions():
@@ -92,8 +79,20 @@ def test_equispaced_constructions():
     assert d17.gaps.tolist() == [1.0 / 16.0] * 16
     assert equispaced(2).gaps.tolist() == [1.0]
     assert equispaced(5).gaps.tolist() == [0.25] * 4
+    assert equispaced(np.int64(5)).gaps.tolist() == [0.25] * 4
     with pytest.raises(DomainError):
         equispaced(1)
+
+
+@pytest.mark.parametrize("count", [8.0, 8.5, "8"])
+@pytest.mark.parametrize("call", [
+    equispaced,
+    lambda v: optimize(OptimizationProblem(v, "imspe", kernel=ExponentialKernel(17.12))),
+    lambda v: simulate_observations(equispaced(5), 17.12, 0.85, 0.94, 0.25, replicates=v),
+], ids=["equispaced", "optimize", "simulate_observations"])
+def test_counts_must_be_integers(call, count):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(count)
 
 
 def test_rescale_moves_to_unit_interval():

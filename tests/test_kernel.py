@@ -57,15 +57,6 @@ def test_rates_and_scales_must_be_finite_and_positive(check, bad):
         check(bad)
 
 
-def test_kernel_corr_and_cov():
-    k = ExponentialKernel(2.0, sigma11=3.0)
-    assert k.corr(0.0) == 1.0
-    assert math.isclose(k.corr(1.0), math.exp(-2.0))
-    assert math.isclose(k.cov(0.5), 3.0 * math.exp(-1.0))
-    # distance enters through its absolute value
-    assert k.corr(-1.0) == k.corr(1.0)
-
-
 # --------------------------------------------------------------------------
 # precision_matrix
 # --------------------------------------------------------------------------
@@ -78,10 +69,6 @@ def test_precision_two_point_analytic():
         m, [[1.0 / w, -math.exp(-1.0) / w], [-math.exp(-1.0) / w, 1.0 / w]],
         rtol=1e-14,
     )
-
-
-def test_precision_single_point():
-    assert precision_matrix(Design.single(), theta=1.0).tolist() == [[1.0]]
 
 
 def test_precision_matches_dense_inverse(rng):
