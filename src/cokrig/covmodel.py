@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .design import Design
+from .design import Design, _real, _real_fields
 from .exceptions import DomainError, ParseError, ValidationError
 
 __all__ = [
@@ -96,12 +96,14 @@ class ExponentialCorrelogram(Correlogram):
     kind = "exponential"
 
     def __post_init__(self):
+        _real_fields(self, "rate")
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise DomainError(f"decay rate must be finite and positive, got {self.rate}")
 
     @classmethod
     def from_base(cls, base: float) -> "ExponentialCorrelogram":
         """Same correlogram parametrized as ``base ** h`` with base in (0, 1)."""
+        base = _real(base, "base")
         if not (np.isfinite(base) and 0.0 < base < 1.0):
             raise DomainError(f"base must lie in (0, 1), got {base}")
         return cls(-math.log(base))
@@ -121,6 +123,7 @@ class _BaseCorrelogram(Correlogram):
     base: float
 
     def __post_init__(self):
+        _real_fields(self, "base")
         if not (np.isfinite(self.base) and 0.0 < self.base < 1.0):
             raise DomainError(f"base must lie in (0, 1), got {self.base}")
 
@@ -232,6 +235,7 @@ class GeneralizedMarkov(BivariateCovariance):
     family = "generalized-markov"
 
     def __post_init__(self):
+        _real_fields(self, "sigma11", "sigma22", "rho")
         for name in ("sigma11", "sigma22", "rho"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -284,6 +288,7 @@ class Proportional(BivariateCovariance):
     family = "proportional"
 
     def __post_init__(self):
+        _real_fields(self, "sigma11", "sigma12", "sigma22")
         for name in ("sigma11", "sigma12", "sigma22"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -328,6 +333,7 @@ class _LambdaFamily(BivariateCovariance):
     lamc: float
 
     def __post_init__(self):
+        _real_fields(self, "sigma11", "sigma22", "lam", "lamc")
         if not (np.isfinite(self.sigma11) and self.sigma11 > 0
                 and np.isfinite(self.sigma22) and self.sigma22 > 0):
             raise DomainError("variances must be positive and finite")
@@ -458,8 +464,7 @@ class NS2(_LambdaFamily):
 
     def __post_init__(self):
         super().__post_init__()
-        alpha = self.alpha
-        if alpha is None:
+        if self.alpha is None:
             alpha = _ns2_standard_alpha(self.lamc)
             if alpha is None:
                 raise DomainError(
@@ -467,8 +472,9 @@ class NS2(_LambdaFamily):
                     "pass alpha explicitly"
                 )
             object.__setattr__(self, "alpha", alpha)
-        elif not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-            raise DomainError(f"cross exponent must lie in (0, 1), got {alpha}")
+        _real_fields(self, "alpha")
+        if not (np.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise DomainError(f"cross exponent must lie in (0, 1), got {self.alpha}")
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -545,9 +551,11 @@ def build_joint_covariance(model: BivariateCovariance, design: Design) -> np.nda
     """Dense ``2n x 2n`` covariance of the stacked vector ``(Z1, Z2)``.
 
     Ordering is all primary observations first, then all secondary
-    ones, matching the layout used by the cokriging solvers.  The
-    lower-left block is the upper-right one transposed, so the matrix is
-    exactly symmetric (``predict._blup`` factors its transpose in place).
+    ones, matching the layout of the cokriging weights.  The lower-left
+    block is the upper-right one transposed, so the matrix is exactly
+    symmetric (``predict._blup`` factors its transpose in place).  The
+    dense cokriging solver builds it for NS3 and the non-exponential
+    primaries; NS2's solver never forms it.
     """
     pts, n = design.points, design.n
     h = np.subtract.outer(pts, pts)

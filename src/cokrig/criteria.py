@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernel as kern
-from .design import Design
+from .design import Design, _real, _real_fields
 from .exceptions import DomainError, NumericError
 from .kernel import ExponentialKernel
 
@@ -118,10 +118,12 @@ class ThetaPrior:
     e_sigma11: float = 1.0
 
     def __post_init__(self):
+        _real_fields(self, "e_sigma11")
         if not (np.isfinite(self.e_sigma11) and self.e_sigma11 > 0):
             raise DomainError(f"e_sigma11 must be finite and positive, got {self.e_sigma11}")
         try:
-            nodes = tuple((float(t), float(r)) for t, r in self.nodes)
+            nodes = tuple((_real(t, "prior rate"), _real(r, "prior density"))
+                          for t, r in self.nodes)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"prior nodes must be (rate, density) pairs: {exc}") from None
         object.__setattr__(self, "nodes", nodes)
@@ -144,15 +146,15 @@ class ThetaPrior:
 
     @classmethod
     def uniform(cls, theta1: float, theta2: float, e_sigma11: float = 1.0) -> "ThetaPrior":
-        t1, t2 = float(theta1), float(theta2)
+        t1, t2 = _real(theta1, "theta1"), _real(theta2, "theta2")
         if not (np.isfinite(t1) and np.isfinite(t2) and 0 < t1 < t2):
             raise DomainError(f"need 0 < theta1 < theta2, got [{t1}, {t2}]")
         r = 1.0 / (t2 - t1)
-        return cls(((t1, r), (t2, r)), float(e_sigma11))
+        return cls(((t1, r), (t2, r)), e_sigma11)
 
     @classmethod
     def tabulated(cls, rates, densities, e_sigma11: float = 1.0) -> "ThetaPrior":
-        return cls(zip(rates, densities, strict=True), float(e_sigma11))
+        return cls(zip(rates, densities, strict=True), e_sigma11)
 
     @property
     def support(self) -> tuple[float, float]:

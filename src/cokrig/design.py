@@ -50,10 +50,15 @@ class Design:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x0, x1 = float(self.x_start), float(self.x_end)
+        x0, x1 = _real(self.x_start, "x_start"), _real(self.x_end, "x_end")
         if not (np.isfinite(x0) and np.isfinite(x1)):
             raise DomainError("design endpoints must be finite")
-        arr = np.array(self.gaps, dtype=float)
+        # NumPy's float conversion, which also reads numeric strings: telling
+        # them apart would cost a type scan of every gap
+        try:
+            arr = np.array(self.gaps, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"gaps must be real numbers: {exc}") from None
         if arr.ndim != 1:
             raise DomainError("gaps must be a one-dimensional sequence")
         if not arr.size:
@@ -98,6 +103,22 @@ class Design:
         return self.gaps
 
 
+def _real(value, name: str) -> float:
+    """``float(value)`` for a real number, NumPy's included; a string, a
+    bool or anything else is a ``DomainError``."""
+    arr = np.asarray(value)
+    # NumPy's kinds of real numbers: signed and unsigned integers, floats
+    if arr.ndim or arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(arr)
+
+
+def _real_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as ``_real`` of itself."""
+    for name in names:
+        object.__setattr__(obj, name, _real(getattr(obj, name), name))
+
+
 def _count(value, name: str, least: int) -> int:
     """``operator.index(value)``, which NumPy integers pass, if at least ``least``."""
     try:
@@ -112,7 +133,7 @@ def _count(value, name: str, least: int) -> int:
 def equispaced(n: int, x_start: float = 0.0, x_end: float = 1.0) -> Design:
     """Design with ``n`` equally spaced sites spanning the interval."""
     n = _count(n, "n", 2)
-    gap = (float(x_end) - float(x_start)) / (n - 1)
+    gap = (_real(x_end, "x_end") - _real(x_start, "x_start")) / (n - 1)
     return Design(x_start, x_end, np.full(n - 1, gap))
 
 
@@ -124,6 +145,7 @@ def rescale(design: Design, theta: float) -> tuple[Design, float]:
     the same factor leaves every covariance quantity unchanged.  Returns
     the unit-interval design and the adjusted rate.
     """
+    theta = _real(theta, "theta")
     if not (np.isfinite(theta) and theta > 0):
         raise DomainError(f"decay rate must be finite and positive, got {theta}")
     length = design.length

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design
+from .design import Design, _real, _real_fields
 from .exceptions import ConditioningError, DomainError, ExtrapolationError
 
 # Gaps with theta * d below this would make w(d) numerically
@@ -59,6 +59,7 @@ class ExponentialKernel:
     sigma11: float = 1.0
 
     def __post_init__(self):
+        _real_fields(self, "theta", "sigma11")
         if not (np.isfinite(self.theta) and self.theta > 0):
             raise DomainError(f"decay rate must be finite and positive, got {self.theta}")
         if not (np.isfinite(self.sigma11) and self.sigma11 > 0):
@@ -66,7 +67,7 @@ class ExponentialKernel:
 
 
 def _check_theta(theta: float) -> float:
-    theta = float(theta)
+    theta = _real(theta, "theta")
     if not (np.isfinite(theta) and theta > 0):
         raise DomainError(f"decay rate must be finite and positive, got {theta}")
     return theta

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, _count
+from .design import Design, _count, _real
 from .exceptions import ConditioningError, DomainError
 from .kernel import MIN_THETA_GAP
 
@@ -84,7 +84,7 @@ def _as_replicates(n: int, z1, z2) -> tuple[np.ndarray, np.ndarray]:
 def _check_params(theta, sigma11, sigma22, rho) -> float:
     for name, v in (("theta", theta), ("sigma11", sigma11),
                     ("sigma22", sigma22), ("rho", rho)):
-        if not np.isfinite(v):
+        if not np.isfinite(_real(v, name)):
             raise DomainError(f"{name} must be finite, got {v}")
     if theta <= 0 or sigma11 <= 0 or sigma22 <= 0:
         raise DomainError("theta and variances must be positive")

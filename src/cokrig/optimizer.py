@@ -27,7 +27,7 @@ import numpy as np
 from . import criteria as crit
 from . import kernel as kern
 from .criteria import ThetaPrior
-from .design import Design, _count
+from .design import Design, _count, _real_fields
 from .exceptions import DomainError
 from .kernel import ExponentialKernel
 
@@ -98,6 +98,7 @@ class OptimizationProblem:
         else:
             if self.kernel is None or self.prior is not None:
                 raise DomainError(f"criterion {self.criterion!r} takes a kernel, not a prior")
+        _real_fields(self, "tolerance")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
 

@@ -12,21 +12,27 @@ unknown constant mean per process via the usual augmented equations.
 * Cokriging a valid model with ``C12 = c * C11`` (``reduction_applies``)
   is kriging of the primary from its own data, with zero secondary
   weights.
-* One dense Cholesky solve serves the rest: kriging with any other
-  correlogram, and cokriging the non-reducible families (NS2, NS3).
+* Cokriging NS2 is O(n) per target: its joint covariance is a sum of
+  four exponential terms, so one banded LU solve of a sparse embedding
+  gives the weights without forming the ``2n x 2n`` matrix.
+* One dense Cholesky solve serves the rest: cokriging NS3, and kriging
+  with any other correlogram, which is also where the reducible
+  families with a non-exponential primary end up.
 
 No pseudo-inverse is used anywhere: a factorization failure raises
 ``ConditioningError``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel as kern
-from .covmodel import (BivariateCovariance, Correlogram, ExponentialCorrelogram, _require_valid,
-                       build_cross_vector, build_joint_covariance, reduction_applies)
-from .design import Design
+from .covmodel import (NS2, BivariateCovariance, Correlogram, ExponentialCorrelogram,
+                       _require_valid, build_cross_vector, build_joint_covariance,
+                       reduction_applies)
+from .design import Design, _real
 from .exceptions import ConditioningError, DomainError
 from .kernel import ExponentialKernel
 
@@ -81,8 +87,7 @@ def _blup(cov: np.ndarray, cov0: np.ndarray, var0: float, drift: np.ndarray | No
 
     ``cov`` is the data covariance, ``cov0`` the data's covariance with
     the target and ``var0`` the target's variance.  Each ``drift`` column
-    carries an unknown constant mean; the first is the target's own, so
-    its weights sum to one and the others' to zero.
+    carries an unknown constant mean (see :func:`_gls`).
 
     ``cov`` is factored in place: it must be an exactly symmetric array
     the caller no longer needs, whose transpose is then the
@@ -95,6 +100,83 @@ def _blup(cov: np.ndarray, cov0: np.ndarray, var0: float, drift: np.ndarray | No
         sol = linalg.cho_solve(linalg.cho_factor(cov.T, lower=True, overwrite_a=True), rhs)
     except linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance matrix is not positive definite: {exc}") from exc
+    return _gls(sol, cov0, var0, drift)
+
+
+# The vectors ``v_k`` that write NS2's 2 x 2 site blocks
+# ``R1 e^{-r h} + R2 e^{-alpha r h}`` as four rank-one terms
+# ``coef_k v_k v_k' e^{-rate_k h}``: ``R1 = diag(sigma11, sigma22)`` gives
+# the first two at rate ``r``, and ``R2 = rho [[0, 1], [1, 0]] =
+# rho/2 (1, 1)(1, 1)' - rho/2 (1, -1)(1, -1)'`` the last two at ``alpha r``.
+_NS2_VECTORS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+# Unknowns per site in the banded NS2 system: the lower sums l_1..l_4,
+# the weights x1 and x2, the upper sums u_1..u_4.  It is also the number
+# of bands on either side of the diagonal.
+_NS2_BLOCK = 10
+
+
+def _ns2_blup(model: NS2, design: Design, cov0: np.ndarray, var0: float,
+              drift: np.ndarray | None):
+    """:func:`_blup` for NS2 in O(n) per target, without forming the covariance.
+
+    With ``y_{k,j} = v_k' x_j``, the covariance times ``x`` at site ``i``
+    is ``sum_k coef_k v_k (l_{k,i} + y_{k,i} + u_{k,i})``.  The strict
+    lower and upper sums obey ``l_{k,i} = phi_{k,i} (l_{k,i-1} +
+    y_{k,i-1})`` and ``u_{k,i} = phi_{k,i+1} (u_{k,i+1} + y_{k,i+1})``
+    with ``phi_{k,i} = e^{-rate_k d_{i-1}} <= 1``, so no growing
+    exponential is formed (the generalized Rybicki-Press embedding).
+    Those recursions and the data equations, unknowns ordered site by
+    site, make a system of ``10 n`` rows with 10 bands on either side of
+    the diagonal: one LAPACK banded LU (``gbsv``) solves it for every
+    right-hand side at once.
+    """
+    from scipy import linalg
+
+    n, b = design.n, _NS2_BLOCK
+    rho = math.sqrt(model.sigma11 * model.sigma22) * model.lamc
+    rates = -math.log(model.lam) * np.array([1.0, 1.0, model.alpha, model.alpha])
+    phi = np.exp(-np.outer(rates, design.gaps))
+    coef = np.array([model.sigma11, model.sigma22, 0.5 * rho, -0.5 * rho])
+    # the coefficients within one site, the same at every site
+    site = np.eye(b)
+    site[4:6, :4] = site[4:6, 6:] = (coef[:, None] * _NS2_VECTORS).T
+    site[4:6, 4:6] = [[model.sigma11, rho], [rho, model.sigma22]]
+    # LAPACK's band storage, entry (i, j) at ab[b + i - j, j], with the
+    # column j = b * site + position split in two axes
+    ab = np.zeros((2 * b + 1, n * b))
+    band = ab.reshape(2 * b + 1, n, b)
+    p, q = np.indices((b, b)).reshape(2, -1)
+    band[b + p - q, :, q] = site.ravel()[:, None]
+    # each l row reaches back to the previous site's l and x, each u row
+    # forward to the next site's u and x, all through -phi
+    band[2 * b, :-1, :4] = band[0, 1:, 6:] = -phi.T
+    k = np.arange(4)
+    for m in (0, 1):
+        band[2 * b - 4 - m + k, :-1, 4 + m] = band[2 - m + k, 1:, 4 + m] = (
+            -phi * _NS2_VECTORS[:, m, None])
+    rhs = cov0 if drift is None else np.column_stack([cov0, drift])
+    cols = rhs.reshape(2, n, -1)
+    full = np.zeros((n, b, cols.shape[2]))
+    full[:, 4:6] = cols.transpose(1, 0, 2)
+    try:
+        x = linalg.solve_banded((b, b), ab, full.reshape(n * b, -1), overwrite_ab=True,
+                                overwrite_b=True, check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise ConditioningError(f"NS2 cokriging system is singular: {exc}") from exc
+    sol = x.reshape(n, b, -1)[:, 4:6].transpose(1, 0, 2).reshape(rhs.shape)
+    return _gls(sol, cov0, var0, drift)
+
+
+def _gls(sol, cov0: np.ndarray, var0: float, drift: np.ndarray | None):
+    """Weights and error from ``sol``, the data covariance's solve of
+    ``cov0``, or of ``[cov0, drift]`` when there is a drift.
+
+    Each ``drift`` column carries an unknown constant mean; the first is
+    the target's own, so its weights sum to one and the others' to zero.
+    """
+    from scipy import linalg
+
     if drift is None:
         return sol, max(float(var0 - cov0 @ sol), 0.0)
     s, s_drift = sol[:, 0], sol[:, 1:]
@@ -117,9 +199,10 @@ def _check_pair(kernel) -> tuple[float, Correlogram]:
         ) from None
     if not isinstance(corr, Correlogram):
         raise DomainError(f"second element must be a Correlogram, got {corr!r}")
+    sigma11 = _real(sigma11, "sigma11")
     if not (np.isfinite(sigma11) and sigma11 > 0):
         raise DomainError(f"variance must be finite and positive, got {sigma11}")
-    return float(sigma11), corr
+    return sigma11, corr
 
 
 def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str = "simple"):
@@ -199,7 +282,10 @@ def _cokrige(model, design: Design, obs: ObservationVector, x0: float, ordinary:
         drift = np.zeros((2 * n, 2))
         drift[:n, 0] = 1.0
         drift[n:, 1] = 1.0
-    weights, mspe = _blup(build_joint_covariance(model, design), cov0, var0, drift)
+    if isinstance(model, NS2):
+        weights, mspe = _ns2_blup(model, design, cov0, var0, drift)
+    else:
+        weights, mspe = _blup(build_joint_covariance(model, design), cov0, var0, drift)
     return PredictionResult(float(weights @ obs.stacked()), mspe, weights)
 
 

@@ -91,33 +91,36 @@ def joint_blocks(model, points: np.ndarray):
     return np.vstack([top, bottom])
 
 
-def dense_simple_cokrige(model, points, z_stacked, x0):
-    sigma = joint_blocks(model, points)
-    h0 = np.abs(points - x0)
-    s0 = np.concatenate([np.asarray(model.cov11(h0), dtype=float),
-                         np.asarray(model.cov12(h0), dtype=float)])
-    w = np.linalg.solve(sigma, s0)
-    s00 = float(model.cov11(0.0))
-    return float(w @ z_stacked), s00 - float(s0 @ w)
-
-
-def dense_ordinary_cokrige(model, points, z_stacked, x0):
+def dense_cokrige_weights(model, points, x0, ordinary):
+    """Stacked cokriging weights (primary first) and the error, by dense solves."""
     n = len(points)
     sigma = joint_blocks(model, points)
     h0 = np.abs(points - x0)
     s0 = np.concatenate([np.asarray(model.cov11(h0), dtype=float),
                          np.asarray(model.cov12(h0), dtype=float)])
+    s00 = float(model.cov11(0.0))
+    sig_inv_s0 = np.linalg.solve(sigma, s0)
+    if not ordinary:
+        return sig_inv_s0, s00 - float(s0 @ sig_inv_s0)
     f = np.zeros((2 * n, 2))
     f[:n, 0] = 1.0
     f[n:, 1] = 1.0
     f0 = np.array([1.0, 0.0])
-    sig_inv_s0 = np.linalg.solve(sigma, s0)
     sig_inv_f = np.linalg.solve(sigma, f)
     gram = f.T @ sig_inv_f
     gamma = np.linalg.solve(gram, f0 - f.T @ sig_inv_s0)
     w = sig_inv_s0 + sig_inv_f @ gamma
-    s00 = float(model.cov11(0.0))
     mspe = s00 - float(s0 @ sig_inv_s0) + float((f0 - f.T @ sig_inv_s0) @ gamma)
+    return w, mspe
+
+
+def dense_simple_cokrige(model, points, z_stacked, x0):
+    w, mspe = dense_cokrige_weights(model, points, x0, ordinary=False)
+    return float(w @ z_stacked), mspe
+
+
+def dense_ordinary_cokrige(model, points, z_stacked, x0):
+    w, mspe = dense_cokrige_weights(model, points, x0, ordinary=True)
     return float(w @ z_stacked), mspe
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cokrig import (Design, DomainError, ExponentialKernel, OptimizationProblem, equispaced, imspe,
-                    optimize, rescale, simulate_observations, smspe)
+from cokrig import (NS1, NS2, NS3, Design, DomainError, ExponentialCorrelogram, ExponentialKernel,
+                    GeneralizedMarkov, Matern15Correlogram, NuggetCorrelogram,
+                    OptimizationProblem, Proportional, SquaredExponentialCorrelogram, ThetaPrior,
+                    equispaced, format_config, imspe, loglikelihood, optimize, parse_config,
+                    precision_matrix, rescale, simple_krige, simulate_observations, smspe)
 from oracles import majorization_perturb
 
 
@@ -93,6 +96,77 @@ def test_equispaced_constructions():
 def test_counts_must_be_integers(call, count):
     with pytest.raises(DomainError, match="must be an integer"):
         call(count)
+
+
+# Every public constructor or function that takes a real scalar, each
+# taking it through ``design._real``.
+SCALAR_TAKERS = {
+    "Design.x_start": lambda v: Design(v, 1.0, (1.0,)),
+    "Design.x_end": lambda v: Design(0.0, v, (1.0,)),
+    "equispaced": lambda v: equispaced(3, 0.0, v),
+    "rescale": lambda v: rescale(equispaced(3), v),
+    "ExponentialKernel.theta": lambda v: ExponentialKernel(v),
+    "ExponentialKernel.sigma11": lambda v: ExponentialKernel(2.0, v),
+    "precision_matrix": lambda v: precision_matrix(equispaced(3), v),
+    "ExponentialCorrelogram": lambda v: ExponentialCorrelogram(v),
+    "ExponentialCorrelogram.from_base": lambda v: ExponentialCorrelogram.from_base(v),
+    "SquaredExponentialCorrelogram": lambda v: SquaredExponentialCorrelogram(v),
+    "Matern15Correlogram": lambda v: Matern15Correlogram(v),
+    "GeneralizedMarkov": lambda v: GeneralizedMarkov(1.0, 1.0, v, ExponentialCorrelogram(1.0),
+                                                     NuggetCorrelogram()),
+    "Proportional": lambda v: Proportional(1.0, v, 1.0, ExponentialCorrelogram(1.0)),
+    "NS1": lambda v: NS1(v, 0.94, 0.5, 0.5),
+    "NS2.sigma11": lambda v: NS2(v, 0.94, 0.5, 0.5),
+    "NS2.lam": lambda v: NS2(0.85, 0.94, v, 0.5),
+    "NS2.lamc": lambda v: NS2(0.85, 0.94, 0.5, v, 0.75),
+    "NS2.alpha": lambda v: NS2(0.85, 0.94, 0.5, 0.5, v),
+    "NS3": lambda v: NS3(0.85, v, 0.5, 0.5),
+    "ThetaPrior.uniform": lambda v: ThetaPrior.uniform(v, 2.0),
+    "ThetaPrior.uniform.e_sigma11": lambda v: ThetaPrior.uniform(1.0, 2.0, v),
+    "ThetaPrior.tabulated": lambda v: ThetaPrior.tabulated([1.0, 2.0], [1.0, v]),
+    "ThetaPrior.e_sigma11": lambda v: ThetaPrior(((1.0, 1.0), (2.0, 1.0)), v),
+    "OptimizationProblem.tolerance": lambda v: OptimizationProblem(
+        4, "smspe", kernel=ExponentialKernel(1.0), tolerance=v),
+    "simple_krige.sigma11": lambda v: simple_krige((v, ExponentialCorrelogram(1.0)),
+                                                   equispaced(3), [1.0, 2.0, 3.0], 0.5),
+    "loglikelihood.rho": lambda v: loglikelihood(equispaced(3), [1.0, 2.0, 3.0],
+                                                 [0.0, 1.0, 0.0], 2.0, 1.0, 1.0, v),
+}
+
+
+NOT_REAL = {"numeric-string": "1", "string": "x", "None": None, "bool": True,
+            "complex": 1 + 0j, "list": [1.0]}
+
+
+# NS2's alpha=None asks for the standard exponent.
+@pytest.mark.parametrize("taker, value", [
+    pytest.param(taker, value, id=f"{taker}-{kind}")
+    for taker in SCALAR_TAKERS for kind, value in NOT_REAL.items()
+    if (taker, kind) != ("NS2.alpha", "None")
+])
+def test_scalars_must_be_real_numbers(taker, value):
+    with pytest.raises(DomainError, match="real number"):
+        SCALAR_TAKERS[taker](value)
+
+
+@pytest.mark.parametrize("gaps", [("x",), (1 + 1j,), ((0.5,), (0.25, 0.25))],
+                         ids=["string", "complex", "ragged"])
+def test_gaps_numpy_cannot_read_as_floats_are_a_domain_error(gaps):
+    # gaps go through NumPy's float conversion, so a numeric string such
+    # as '1' still converts: refusing it would cost a type scan per gap
+    with pytest.raises(DomainError, match="real numbers"):
+        Design(0.0, 1.0, gaps)
+
+
+def test_real_scalars_of_any_numeric_type_are_stored_as_floats():
+    for value in (2, np.int32(2), np.float32(2.0), np.float64(2.0), np.array(2.0)):
+        kernel = ExponentialKernel(value, value)
+        assert type(kernel.theta) is float and type(kernel.sigma11) is float
+        assert kernel == ExponentialKernel(2.0, 2.0)
+    assert Design(np.int64(0), np.float32(1.0), (np.float32(0.5), 0.5)).x_end == 1.0
+    # a stored NumPy scalar would write 'np.float64(0.85)' into the config
+    model = NS2(np.float64(0.85), 0.94, np.float64(0.5), 0.5)
+    assert parse_config(format_config(model)) == model
 
 
 def test_rescale_moves_to_unit_interval():

@@ -1,6 +1,7 @@
 """Kriging and cokriging predictors against dense linear-algebra oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -460,6 +461,124 @@ def test_nonproportional_gap_can_be_large():
     kr = simple_krige((1.0, ExponentialCorrelogram(-math.log(lam))),
                       design, obs.z1, 0.5).mspe
     assert kr - co > 1e-3
+
+
+# --------------------------------------------------------------------------
+# NS2's banded route against the dense oracle
+# --------------------------------------------------------------------------
+
+# The banded LU and the dense solve agree to 3.5e-11 in the weights and
+# 2e-15 in the error over these cases (lam = 0.9 at n = 200 is the worst:
+# the joint condition number reaches about 1e8).  The bounds leave a
+# margin of about 30 over that.
+NS2_WEIGHT_ATOL = 1e-9
+NS2_MSPE_ATOL = 1e-12
+# zero error at a design site, as the benchmark checks it
+SITE_MSPE_ATOL = 1e-10
+
+NS2_LAMS = (math.exp(-17.12), 0.4, 0.9)
+# the three standard (lamc, alpha) pairs, then a valid nonstandard one
+NS2_PAIRS = ((0.2, None), (0.5, None), (0.8, None), (-0.3, 0.6))
+
+
+def _check_ns2_against_oracle(model, design, obs, x0):
+    n = design.n
+    for fn, ordinary in ((simple_cokrige, False), (ordinary_cokrige, True)):
+        out = fn(model, design, obs, x0)
+        weights, mspe = oracles.dense_cokrige_weights(model, design.points, x0, ordinary)
+        assert out.weights.shape == (2 * n,)
+        np.testing.assert_allclose(out.weights, weights, rtol=0, atol=NS2_WEIGHT_ATOL)
+        assert out.mspe == pytest.approx(mspe, abs=NS2_MSPE_ATOL)
+        assert out.value == pytest.approx(float(weights @ obs.stacked()),
+                                          abs=NS2_WEIGHT_ATOL * np.abs(obs.stacked()).sum())
+        if ordinary:
+            assert float(out.weights[:n].sum()) == pytest.approx(1.0, abs=1e-9)
+            assert float(out.weights[n:].sum()) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", (2, 3, 17, 200))
+@pytest.mark.parametrize("lam", NS2_LAMS)
+@pytest.mark.parametrize("lamc, alpha", NS2_PAIRS)
+def test_ns2_cokriging_matches_dense_oracle(rng, n, lam, lamc, alpha):
+    model = NS2(0.85, 0.94, lam, lamc, alpha)
+    design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=0.1 / n)))
+    obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
+    for x0 in (float(rng.uniform(0.0, 1.0)), 0.0, 1.0, 0.5 * float(design.points[:2].sum())):
+        _check_ns2_against_oracle(model, design, obs, x0)
+    if n > 17:
+        return
+    for i, x in enumerate(design.points):
+        for fn in (simple_cokrige, ordinary_cokrige):
+            out = fn(model, design, obs, float(x))
+            assert out.mspe <= SITE_MSPE_ATOL
+            assert out.value == pytest.approx(obs.z1[i], abs=1e-9)
+
+
+def test_ns2_cokriging_weights_come_back_primary_first():
+    # at a design site the simple weights are the unit vector of that
+    # site's primary datum, at the same index as in ``obs.stacked()``
+    n = 17
+    design = equispaced(n)
+    obs = ObservationVector(np.arange(n, dtype=float), -np.arange(n, dtype=float))
+    model = NS2(0.85, 0.94, 0.4, 0.5)
+    for i in (0, 5, n - 1):
+        out = simple_cokrige(model, design, obs, float(design.points[i]))
+        want = np.zeros(2 * n)
+        want[i] = 1.0
+        np.testing.assert_allclose(out.weights, want, rtol=0, atol=1e-12)
+        assert out.value == pytest.approx(float(i), abs=1e-10)
+
+
+def test_ns2_error_vanishes_at_every_site_of_a_long_transect(rng):
+    # the worst-conditioned case of the oracle sweep, at all 200 sites
+    n = 200
+    model = NS2(0.85, 0.94, 0.9, 0.8)
+    design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=0.1 / n)))
+    obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
+    for x in design.points:
+        for fn in (simple_cokrige, ordinary_cokrige):
+            assert fn(model, design, obs, float(x)).mspe <= SITE_MSPE_ATOL
+
+
+def test_ns2_cokriging_forms_no_dense_matrix(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense algebra on the NS2 cokriging path")
+
+    monkeypatch.setattr(cokrig.predict, "build_joint_covariance", refuse)
+    monkeypatch.setattr(cokrig.predict, "_blup", refuse)
+    n = 10**4
+    design = Design(0.0, 1.0, tuple(oracles.random_design_gaps(rng, n, min_gap=1e-6)))
+    model = NS2(0.85, 0.94, math.exp(-17.12), 0.5, 0.75)
+    obs = ObservationVector(rng.normal(size=n), rng.normal(size=n))
+    site = n // 3
+    tracemalloc.start()
+    try:
+        simple = simple_cokrige(model, design, obs, 0.123456)
+        ordinary = ordinary_cokrige(model, design, obs, float(design.points[site]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense joint matrix alone would take 3.2 GB
+    assert peak < 100 * 2**20
+    assert simple.mspe > 0.0
+    assert ordinary.mspe <= SITE_MSPE_ATOL
+    assert ordinary.value == pytest.approx(obs.z1[site], abs=1e-9)
+    assert float(ordinary.weights[:n].sum()) == pytest.approx(1.0, abs=1e-9)
+    assert float(ordinary.weights[n:].sum()) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_ns2_solver_failure_is_a_conditioning_error(monkeypatch):
+    from scipy import linalg
+
+    def singular(*args, **kwargs):
+        raise linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(linalg, "solve_banded", singular)
+    model = NS2(0.85, 0.94, 0.4, 0.5)
+    obs = ObservationVector([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    for fn in (simple_cokrige, ordinary_cokrige):
+        with pytest.raises(ConditioningError, match="singular"):
+            fn(model, equispaced(3), obs, 0.3)
 
 
 # --------------------------------------------------------------------------
