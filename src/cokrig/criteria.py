@@ -78,6 +78,10 @@ _RISK_QUAD_BLOCK = 2**19
 # log(sinh x / x) integrates (x coth x - 1) / x term by term.
 _SINHC_SERIES = kern._COTH_SERIES / np.arange(2, 2 * kern._COTH_SERIES.size + 1, 2)
 
+# A flat prior segment [lo, hi] with hi at least this multiple of lo is
+# wide enough for its closed forms' differences to cancel little.
+_WIDE_SEGMENT = 1.5
+
 
 def _check_model(model: str) -> str:
     if model not in MODELS:
@@ -254,17 +258,98 @@ def _log_sinhc(x):
                            - np.log(2.0 * x), _SINHC_SERIES, 2)
 
 
-def _flat_integral(criterion: str, lo: float, hi: float, gaps, terms: bool):
+def _x_coth_x(x):
+    """``x coth x - 1`` for ``x > 0``, by its series below the cutoff."""
+    return kern._piecewise(x, x < kern._SERIES_CUTOFF, lambda: x / np.tanh(x) - 1.0,
+                           kern._COTH_SERIES, 2)
+
+
+def _tanh_step(a, b, delta):
+    """``tanh b - tanh a`` for ``b = a + delta``, as ``sinh delta / (cosh a
+    cosh b)`` scaled by ``e^{-a-b}`` so that nothing overflows."""
+    return -2.0 * np.exp(-2.0 * a) * np.expm1(-2.0 * delta) / (
+        (1.0 + np.exp(-2.0 * a)) * (1.0 + np.exp(-2.0 * b)))
+
+
+def _log_cosh_step(a, delta):
+    """``log cosh(a + delta) - log cosh a`` for ``delta >= 0``, without
+    cancellation: ``log1p(2 sinh^2(delta / 2) + tanh(a) sinh delta)``, and
+    from ``delta = 1`` on, where ``sinh`` could overflow, ``delta +
+    log1p(expm1(-2 delta) e^{-2a} / (1 + e^{-2a}))``."""
+    near, e = np.minimum(delta, 1.0), np.exp(-2.0 * a)
+    return np.where(delta < 1.0, np.log1p(2.0 * np.sinh(0.5 * near) ** 2 + np.tanh(a) * np.sinh(near)),
+                    delta + np.log1p(np.expm1(-2.0 * delta) * e / (1.0 + e)))
+
+
+def _series_step(coefs, u, v):
+    """``(p(v) - p(u)) / (v - u)`` for ``p(y) = sum_k coefs[k] y^(k+1)``:
+    Horner's rule at ``v`` gives the quotient's coefficients, and Horner's
+    rule at ``u`` on those sums the divided difference without subtracting
+    ``p(u)`` from ``p(v)``."""
+    b = acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        b = c + v * b
+        acc = b + u * acc
+    return acc
+
+
+def _sinhc_step(a, b, delta):
+    """``S(b) - S(a)`` and ``F(b) - F(a)`` for ``S(x) = log(sinh x / x)``,
+    ``F(x) = x coth x - 1`` and ``b = a + delta < _WIDE_SEGMENT a``, without
+    subtracting nearly equal values.  Below the cutoff both are ``b^2 - a^2
+    = delta (a + b)`` times a divided difference of their series in ``x^2``.
+    Above it ``a > _SERIES_CUTOFF / _WIDE_SEGMENT``, and with ``log(sinh b /
+    sinh a) = delta + log1p(e^{-2a} expm1(-2 delta) / expm1(-2a))``, ``S(b) -
+    S(a)`` is that minus ``log1p(delta / a)`` and ``F(b) - F(a) = delta coth
+    b - a sinh delta / (sinh a sinh b)``, each scaled so that nothing
+    overflows."""
+    small = b < kern._SERIES_CUTOFF
+    ds, df = np.empty(b.shape), np.empty(b.shape)
+    sa, sb, sd = a[small], b[small], delta[small]
+    width = sd * (sa + sb)
+    ds[small] = width * _series_step(_SINHC_SERIES, sa * sa, sb * sb)
+    df[small] = width * _series_step(kern._COTH_SERIES, sa * sa, sb * sb)
+    la, lb, ld = a[~small], b[~small], delta[~small]
+    ea, eb, ed = np.expm1(-2.0 * la), np.expm1(-2.0 * lb), np.expm1(-2.0 * ld)
+    shift = np.exp(-2.0 * la) * ed / ea
+    ds[~small] = ld + np.log1p(shift) - np.log1p(ld / la)
+    df[~small] = ld * (1.0 - 2.0 * np.exp(-2.0 * lb) / eb) + 2.0 * la * shift / eb
+    return ds, df
+
+
+def _flat_integral(criterion: str, lo: float, hi: float, gaps, terms: bool, grad: bool = False):
     """Integral over ``[lo, hi]`` in the rate of the simple model's
     unit-variance criterion, or with ``terms`` of each per-interval term;
-    the closed forms are those of :func:`risk_smspe` and :func:`risk_imspe`."""
+    the closed forms are those of :func:`risk_smspe` and :func:`risk_imspe`.
+
+    A wide segment (``hi >= _WIDE_SEGMENT lo``) takes them as differences
+    at the two ends, which lose at most a factor of about 3 to
+    cancellation; a narrower one takes :func:`_log_cosh_step` and
+    :func:`_sinhc_step`.  With ``grad``, also each term's derivative in its
+    own gap, for ``smspe`` ``(2 / d^2) (H(B) - H(A))`` with ``H(u) = u tanh
+    u - log cosh u`` at ``A, B = lo d / 2, hi d / 2``, and for ``imspe``
+    ``b S'(b d) - a S'(a d) = (F(hi d) - F(lo d)) / d``.
+    """
+    wide = hi >= _WIDE_SEGMENT * lo
     if criterion == "smspe":
         d = gaps if terms else gaps.max()
-        return 2.0 * (_log_cosh(0.5 * hi * d) - _log_cosh(0.5 * lo * d)) / d
-    s = _log_sinhc(np.multiply.outer((lo, hi), gaps))
-    if not terms:
-        s = s.sum(axis=-1)
-    return s[1] - s[0]
+        a, b, delta = 0.5 * lo * d, 0.5 * hi * d, 0.5 * (hi - lo) * d
+        step = _log_cosh(b) - _log_cosh(a) if wide else _log_cosh_step(a, delta)
+        value = 2.0 * step / d
+        if not grad:
+            return value
+        return value, 2.0 * (delta * np.tanh(b) + a * _tanh_step(a, b, delta) - step) / (d * d)
+    if wide:
+        s = _log_sinhc(np.multiply.outer((lo, hi), gaps))
+        if not terms:
+            s = s.sum(axis=-1)
+        value = s[1] - s[0]
+        if not grad:
+            return value
+        return value, (_x_coth_x(hi * gaps) - _x_coth_x(lo * gaps)) / gaps
+    step, dstep = _sinhc_step(lo * gaps, hi * gaps, (hi - lo) * gaps)
+    value = step if terms else step.sum()
+    return (value, dstep / gaps) if grad else value
 
 
 @dataclass(frozen=True)
@@ -282,7 +367,8 @@ class RiskReport:
     error: float
 
 
-def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = False) -> RiskReport:
+def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = False,
+          grad: bool = False):
     """Bayes risk on a unit-sum gap vector; also the optimizer's objective.
 
     Walks the prior's segments.  The simple model on a flat segment takes
@@ -293,20 +379,34 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
     are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.  With
     ``terms=True`` the per-interval terms are averaged instead, and
     ``value`` is an array with one average per gap.
+
+    ``grad=True`` returns the report and the derivatives in the gaps,
+    averaged by the rule the value settled on: the value's gradient, or
+    with ``terms`` (for ``smspe``) the terms' Jacobian.
     """
-    block = max(1, _RISK_QUAD_BLOCK // gaps.size)
+    size = gaps.size * (gaps.size if grad and terms else 1)
+    block = max(1, _RISK_QUAD_BLOCK // size)
     pick = 0 if terms else 1
-    total, nodes, error = 0.0, 0, 0.0
+    total, dtotal, nodes, error = 0.0, 0.0, 0, 0.0
     for seg, ((lo, r_lo), (hi, r_hi)) in enumerate(zip(prior.nodes, prior.nodes[1:])):
         if model == "simple" and r_lo == r_hi:
-            total += r_lo * _flat_integral(criterion, lo, hi, gaps, terms)
+            flat = _flat_integral(criterion, lo, hi, gaps, terms, grad)
+            if grad:
+                flat, dflat = flat
+                dtotal += r_lo * (np.diag(dflat) if terms else dflat)
+            total += r_lo * flat
             continue
         m, prev = RISK_QUAD_START, None
         while True:
             thetas, weights = _prior_rule(prior, m)[seg]
-            est = sum(weights[j:j + block] @ kern._interval_terms(
-                thetas[j:j + block], gaps, criterion, model, terms=terms)[pick]
-                for j in range(0, m, block))
+            est = dest = 0
+            for j in range(0, m, block):
+                out = kern._interval_terms(thetas[j:j + block], gaps, criterion, model,
+                                           terms=terms, grad=grad)
+                est = est + weights[j:j + block] @ out[pick]
+                if grad:
+                    dest = dest + np.tensordot(weights[j:j + block], out[2], axes=1)
+                del out  # one block's arrays alive at a time, as the block size intends
             nodes += m
             if prev is not None:
                 diff = float(np.max(np.abs(est - prev)))
@@ -320,9 +420,11 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
             prev = est
             m *= 2
         total += est
+        dtotal += dest
         error += diff
     value = total if terms else float(total)
-    return RiskReport(prior.e_sigma11 * value, nodes, prior.e_sigma11 * error)
+    report = RiskReport(prior.e_sigma11 * value, nodes, prior.e_sigma11 * error)
+    return (report, prior.e_sigma11 * dtotal) if grad else report
 
 
 def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:

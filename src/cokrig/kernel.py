@@ -41,6 +41,12 @@ _G_SERIES = np.array([1 / 60, -17 / 5040, 31 / 60480, -691 / 9979200, 5461 / 622
                       -221930581 / 15205637551104000, 4722116521 / 2838385676206080000,
                       -56963745931 / 304141373398646784000])
 
+# Their derivatives in x, term by term: (x coth x - 1)' = coth x - x csch^2 x
+# is sum_k _D_COTH_SERIES[k] x^(2k+1), and the G series' is sum_k
+# _D_G_SERIES[k] x^(2k+4).
+_D_COTH_SERIES = _COTH_SERIES * np.arange(2, 2 * _COTH_SERIES.size + 1, 2)
+_D_G_SERIES = _G_SERIES * np.arange(5, 2 * _G_SERIES.size + 5, 2)
+
 
 @dataclass(frozen=True)
 class ExponentialKernel:
@@ -130,14 +136,15 @@ def _piecewise(x, small, direct, coefs, power: int):
     acc = coefs[k - 1]
     for c in coefs[:k - 1][::-1]:
         acc = acc * y + c
-    acc = acc * (y if power == 2 else y * y * xs)
+    acc = acc * (y if power == 2 else y * y * xs if power == 5 else y * y if power == 4 else xs)
     if every:
         return acc
     out[small] = acc
     return out
 
 
-def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True):
+def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
+                    grad: bool = False):
     """Unit-variance per-interval terms of a criterion, and its value.
 
     The forms are those of the ``criteria`` module docstring; ``theta``
@@ -147,37 +154,71 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True)
     value is also ``1 - (k - sum q) / theta`` for ``k`` gaps, whose
     design-independent part is exact, used once every ``theta >= k``
     (some ``x >= 1`` then).  ``terms=False`` may return None for terms.
+
+    ``grad=True`` adds a third item, the derivatives in the gaps from the
+    same pass: for ``imspe`` the value's gradient (shaped like the terms),
+    for ``smspe`` the terms' Jacobian (``theta.shape + (k, k)``).  With
+    ``t' = (theta / 2) sech^2(x / 2)`` the gradient is ``coth x - x
+    csch^2 x`` per gap, plus for the ordinary model ``G'(x) / (2 q0) -
+    t' sum g / q0`` with ``G' = t (2 t - x sech^2(x / 2))``; the Jacobian
+    is ``diag(t')`` for the simple model, and for the ordinary model with
+    ``s = 1 - sech(x / 2)`` it is ``diag(t' + theta s sech t / q0) - (s^2 /
+    q0^2) t'^T``, diagonal plus rank one.  Below the cutoff the series are
+    differentiated term by term.  The gradient is that of the sum of the
+    terms, so it does not assume that the gaps sum to one.
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     x = theta * gaps
     ordinary = model == "ordinary"
-    if ordinary or criterion == "smspe":
+    tanh_terms = ordinary or criterion == "smspe"
+    if tanh_terms:
         t = np.tanh(0.5 * x)
     if ordinary:
         q0 = 1.0 + t.sum(axis=-1, keepdims=True)
+    if (criterion == "smspe" and ordinary) or (grad and tanh_terms):
+        e = np.exp(-0.5 * x)
+    if grad and tanh_terms:
+        sech = 2.0 * e / (1.0 + e * e)
+        dt = 0.5 * theta * sech * sech
     if criterion == "smspe":
+        if grad:
+            diag, low = dt, 0.0
+            if ordinary:
+                s = t * t * (1.0 + e * e) / (1.0 + e) ** 2
+                diag = dt + theta * s * sech * t / q0
+                low = (s * s / (q0 * q0))[..., :, None] * dt[..., None, :]
+            jac = np.eye(gaps.shape[-1]) * diag[..., None, :] - low
         if ordinary:
-            e = np.exp(-0.5 * x)
             t = t + (t * t * (1.0 + e * e) / (1.0 + e) ** 2) ** 2 / q0
-        return t, t.max(axis=-1, initial=0.0)
-
-    def q():
-        m = -2.0 * x
-        return m * np.exp(m) / np.expm1(m)
+        value = t.max(axis=-1, initial=0.0)
+        return (t, value, jac) if grad else (t, value)
 
     rate, k = theta[..., 0], gaps.shape[-1]
     split = rate.min() >= k
     small = x < _SERIES_CUTOFF
+    if split or not small.all():
+        m = -2.0 * x
+        em, den = np.exp(m), np.expm1(m)
+        q = m * em / den
     per = None
     if terms or not split:
-        per = _piecewise(x, small, lambda: x - 1.0 + q(), _COTH_SERIES, 2) / theta
-    value = 1.0 - (k - q().sum(axis=-1)) / rate if split else per.sum(axis=-1)
+        per = _piecewise(x, small, lambda: x - 1.0 + q, _COTH_SERIES, 2) / theta
+    value = 1.0 - (k - q.sum(axis=-1)) / rate if split else per.sum(axis=-1)
+    if grad:
+        def d_coth():
+            # coth x - x csch^2 x with c = coth x - 1, q = x c, csch^2 = c (c + 2)
+            c = -2.0 * em / den
+            return 1.0 + c - q * (c + 2.0)
+        dvalue = _piecewise(x, small, d_coth, _D_COTH_SERIES, 1)
     if ordinary:
         g = _piecewise(x, small, lambda: x * (3.0 - t * t) - 6.0 * t, _G_SERIES, 5)
         g /= 2.0 * theta * q0
         per = None if per is None else per + g
         value = value + g.sum(axis=-1)
-    return per, value
+        if grad:
+            dg = _piecewise(x, small, lambda: t * (2.0 * t - x * (sech * sech)), _D_G_SERIES, 4)
+            dvalue = dvalue + dg / (2.0 * q0) - g.sum(axis=-1, keepdims=True) * dt / q0
+    return (per, value, dvalue) if grad else (per, value)
 
 
 def _bracket(design: Design, x0) -> np.ndarray:

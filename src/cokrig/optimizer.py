@@ -8,7 +8,11 @@ public criteria use, and the solve's end is polished by a few Newton
 steps toward equal partial derivatives.  The supremum criteria
 (``smspe``, ``risk_smspe``) are the largest of per-interval terms and
 take the epigraph form: minimize ``t`` subject to ``t >= term_i(d)`` for
-every interval.  Gradients are finite differences.
+every interval.  Every derivative is exact: each criterion is a sum or a
+maximum of closed-form per-interval terms, plus the ordinary model's
+rank-one ``1 / q0`` coupling, so ``kernel._interval_terms`` and
+``criteria._risk`` return the gradient (or the terms' Jacobian) from the
+same pass as the value, and SLSQP gets them as ``jac``.
 
 The solve starts from one seeded gap vector that is not equispaced.  The
 equispaced design is evaluated as a candidate too and wins ties, and
@@ -53,10 +57,9 @@ _MAX_ITERS = 20_000
 # small, the solve stops only when it can make no further progress.
 _FTOL = 1e-15
 
-# Relative step of the central differences in the gaps of an integrated
-# criterion: about the cube root of machine epsilon balances rounding
-# against truncation for the first derivative.
-_DIFF_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# Relative step of _curvature's forward differences of the exact gradient:
+# the square root of machine epsilon balances rounding against truncation.
+_CURVATURE_STEP = float(np.finfo(float).eps) ** 0.5
 
 # Most Newton steps _polish takes after the solve.
 _POLISH_STEPS = 4
@@ -115,9 +118,12 @@ class OptimizationResult:
     derivatives in the gaps for ``imspe``/``risk_imspe`` and the
     per-interval terms for ``smspe``/``risk_smspe``; the residual is 0 at
     the equispaced design by symmetry.  ``converged`` is ``residual <=
-    problem.tolerance``.  ``n_evaluations`` counts criterion (or
-    per-interval term) evaluations, and ``message`` says why the search
-    stopped, or that the equispaced candidate won.
+    problem.tolerance``.  ``n_evaluations`` counts value-and-gradient
+    passes over the criterion (a pass that needs no gradient computes
+    the value alone), and ``message`` says why the search stopped, or
+    that the equispaced candidate won.  ``solve_residual`` and
+    ``solve_gap_deviation`` are the residual and the gap deviation where
+    the solve itself ended, before the equispaced candidate is compared.
     """
 
     design: Design
@@ -127,6 +133,8 @@ class OptimizationResult:
     n_evaluations: int
     residual: float
     message: str
+    solve_residual: float
+    solve_gap_deviation: float
 
 
 def evaluate_criterion(problem: OptimizationProblem, design: Design) -> float:
@@ -145,34 +153,44 @@ def _objective(problem: OptimizationProblem):
     of a supremum criterion (the epigraph form; the criterion is their
     maximum) rather than an integrated criterion's value.
 
-    Both come from the gap-level functions behind the public criteria,
-    minus their checks; a risk is one ``_risk`` walk over the prior's
-    segments, closed forms included.  For ``risk_smspe`` each term is
-    averaged over the prior: every term rises with its own gap at every
-    rate, so the widest gap holds the largest term at every rate, and the
-    average of the maximum is the maximum of the averages.
+    It is a function ``fn(gaps, grad=False)``: the value (or the terms),
+    and with ``grad`` also the gradient (or the terms' Jacobian) in the
+    gaps, from the same pass.  Both come from the gap-level functions
+    behind the public criteria, minus their checks; a risk is one ``_risk``
+    walk over the prior's segments, closed forms included.  For
+    ``risk_smspe`` each term is averaged over the prior: every term rises
+    with its own gap at every rate, so the widest gap holds the largest
+    term at every rate, and the average of the maximum is the maximum of
+    the averages.
     """
     model = problem.model
     epigraph = problem.criterion.endswith("smspe")
     if problem.prior is not None:
         prior, criterion = problem.prior, problem.criterion.removeprefix("risk_")
-        return (lambda g: crit._risk(criterion, prior, g, model, terms=epigraph).value), epigraph
+
+        def risk(g, grad=False):
+            out = crit._risk(criterion, prior, g, model, terms=epigraph, grad=grad)
+            return (out[0].value, out[1]) if grad else out.value
+        return risk, epigraph
     theta, s11 = problem.kernel.theta, problem.kernel.sigma11
-    if epigraph:
-        return (lambda g: s11 * kern._interval_terms(theta, g, "smspe", model)[0]), True
-    return (lambda g: s11 * float(
-        kern._interval_terms(theta, g, "imspe", model, terms=False)[1])), False
+    criterion = "smspe" if epigraph else "imspe"
+
+    def fixed_rate(g, grad=False):
+        out = kern._interval_terms(theta, g, criterion, model, terms=epigraph, grad=grad)
+        value = s11 * out[0] if epigraph else s11 * float(out[1])
+        return (value, s11 * out[2]) if grad else value
+    return fixed_rate, epigraph
 
 
 def _solve(problem: OptimizationProblem, fn, epigraph: bool):
     """One SLSQP solve on the gap vector from the seeded start.
 
     ``fn`` is the criterion on a gap vector, or with ``epigraph`` its
-    per-interval terms.  Both are scaled by their value at the start, so
-    ``_FTOL`` acts on a relative change.  An integrated criterion's end
-    is then polished (see ``_polish``).  Returns the unit-sum gaps where
-    the search stopped, their optimality residual and SciPy's reason for
-    stopping.
+    per-interval terms, with their exact derivatives (see ``_objective``).
+    Both are scaled by their value at the start, so ``_FTOL`` acts on a
+    relative change.  An integrated criterion's end is then polished (see
+    ``_polish``).  Returns the unit-sum gaps where the search stopped,
+    their optimality residual and SciPy's reason for stopping.
     """
     from scipy import optimize as sciopt
 
@@ -186,27 +204,30 @@ def _solve(problem: OptimizationProblem, fn, epigraph: bool):
     options = dict(maxiter=_MAX_ITERS, ftol=_FTOL)
     if epigraph:
         # minimize t subject to t >= every scaled term
-        above = {"type": "ineq", "fun": lambda z: z[k] - scale * fn(z[:k])}
+        above = {"type": "ineq", "fun": lambda z: z[k] - scale * fn(z[:k]),
+                 "jac": lambda z: np.column_stack((-scale * fn(z[:k], True)[1], np.ones(k)))}
         t_grad = np.eye(k + 1)[k]
         res = sciopt.minimize(lambda z: z[k], np.append(start, 1.0), jac=lambda z: t_grad,
                               method="SLSQP", bounds=bounds + [(None, None)],
                               constraints=[unit_sum, above], options=options)
         gaps = res.x[:k] / res.x[:k].sum()
         return gaps, _residual(fn, True, gaps), res.message
-    res = sciopt.minimize(lambda g: scale * fn(g), start, method="SLSQP",
+
+    def scaled(g):
+        value, grad = fn(g, True)
+        return scale * value, scale * grad
+    res = sciopt.minimize(scaled, start, jac=True, method="SLSQP",
                           bounds=bounds, constraints=[unit_sum], options=options)
     gaps, residual = _polish(fn, res.x / res.x.sum(), problem.tolerance)
     return gaps, residual, res.message
 
 
-def _derivatives(fn, gaps: np.ndarray):
-    """Value, partial derivatives and diagonal second derivatives of an
-    integrated criterion in the gaps, by central differences."""
-    h = _DIFF_STEP * gaps
-    f0 = fn(gaps)
-    up = np.array([fn(gaps + step) for step in np.diag(h)])
-    down = np.array([fn(gaps - step) for step in np.diag(h)])
-    return f0, (up - down) / (2.0 * h), (up - 2.0 * f0 + down) / (h * h)
+def _curvature(fn, gaps: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Diagonal second derivatives of an integrated criterion in the gaps,
+    as forward differences of its exact gradient, one gap at a time."""
+    h = _CURVATURE_STEP * gaps
+    return np.array([(fn(gaps + step, True)[1][i] - grad[i]) / h[i]
+                     for i, step in enumerate(np.diag(h))])
 
 
 def _polish(fn, gaps: np.ndarray, tolerance: float):
@@ -214,28 +235,35 @@ def _polish(fn, gaps: np.ndarray, tolerance: float):
 
     SLSQP stops on the objective's change, and a smooth minimum is flat
     to rounding within about the square root of machine epsilon of its
-    minimizer, so the solve ends with residuals near 1e-7 from n = 17 on.
-    The partial derivatives still resolve the minimizer there: each step
+    minimizer, so the solve can end with residuals near 1e-7.  The
+    partial derivatives still resolve the minimizer there: each step
     moves the gaps toward equal partial derivatives with the diagonal of
-    the Hessian, keeping the unit sum.  Steps stop once the residual is
-    at most ``tolerance``, stops falling, or after ``_POLISH_STEPS``.
-    Returns the gaps and their residual.
+    the Hessian, keeping the unit sum.  The diagonal comes from
+    ``_curvature`` once, at the solve's end, as steps this short barely
+    move it.  Steps stop once the residual is at most ``tolerance``,
+    stops falling, or after ``_POLISH_STEPS``.  Returns the gaps and their
+    residual.
     """
-    f0, grad, curv = _derivatives(fn, gaps)
+    f0, grad = fn(gaps, True)
     residual = _spread(grad, f0)
+    if residual <= tolerance:
+        return gaps, residual
+    curv = _curvature(fn, gaps, grad)
+    if not np.all(curv > 0):
+        return gaps, residual
     for _ in range(_POLISH_STEPS):
-        if residual <= tolerance or not np.all(curv > 0):
-            break
         lam = np.sum(grad / curv) / np.sum(1.0 / curv)
         trial = gaps - (grad - lam) / curv
         if not np.all(trial >= _MIN_GAP):
             break
         trial = trial / trial.sum()
-        f1, grad1, curv1 = _derivatives(fn, trial)
+        f1, grad1 = fn(trial, True)
         trial_residual = _spread(grad1, f1)
         if not trial_residual < residual:
             break
-        gaps, residual, grad, curv = trial, trial_residual, grad1, curv1
+        gaps, residual, grad = trial, trial_residual, grad1
+        if residual <= tolerance:
+            break
     return gaps, residual
 
 
@@ -251,7 +279,7 @@ def _residual(fn, epigraph: bool, gaps: np.ndarray) -> float:
     if epigraph:
         parts = fn(gaps)
         return _spread(parts, parts.max())
-    f0, grad, _ = _derivatives(fn, gaps)
+    f0, grad = fn(gaps, True)
     return _spread(grad, f0)
 
 
@@ -272,20 +300,21 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     if n == 2:
         design = Design(0.0, 1.0, (1.0,))
         return OptimizationResult(design, evaluate_criterion(problem, design), True, 0.0, 1,
-                                  0.0, "two sites have one design")
+                                  0.0, "two sites have one design", 0.0, 0.0)
 
     base, epigraph = _objective(problem)
     evals = 0
 
-    def fn(gaps):
+    def fn(gaps, grad=False):
         nonlocal evals
         evals += 1
-        return base(gaps)
+        return base(gaps, grad)
 
     def value(gaps):
         return float(np.max(fn(gaps)))
 
     gaps, residual, message = _solve(problem, fn, epigraph)
+    solve_residual, solve_deviation = residual, _gap_deviation(gaps)
     even = np.full(n - 1, 1.0 / (n - 1))
     if not value(gaps) < value(even) * (1.0 - _TIE_MARGIN):
         # every criterion here is symmetric in the gaps, so its per-interval
@@ -295,4 +324,4 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     design = Design(0.0, 1.0, gaps)
     return OptimizationResult(design, evaluate_criterion(problem, design),
                               residual <= problem.tolerance, _gap_deviation(gaps), evals,
-                              residual, message)
+                              residual, message, solve_residual, solve_deviation)

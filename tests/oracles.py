@@ -281,4 +281,5 @@ def brute_force_min(problem, grid_step: float = 0.005) -> OptimizationResult:
             best, best_val = design, val
     deviation = float(np.abs(best.gaps - 1.0 / k).max())
     return OptimizationResult(best, best_val, True, deviation, n_nodes, float("nan"),
-                              f"exhaustive minimum over {n_nodes} grid nodes")
+                              f"exhaustive minimum over {n_nodes} grid nodes",
+                              float("nan"), deviation)

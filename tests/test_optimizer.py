@@ -156,17 +156,40 @@ def test_paper_problems_on_17_sites(criterion, model):
     assert res.message
 
 
-@pytest.mark.parametrize("n,criterion,model",
-                         [(8, c, m) for c in CRITERIA for m in MODELS]
-                         + [(17, "smspe", "ordinary"), (17, "imspe", "simple"),
-                            (17, "imspe", "ordinary"), (17, "risk_imspe", "simple"),
-                            (50, "imspe", "ordinary"), (50, "smspe", "ordinary")])
-def test_solve_alone_lands_on_equispaced(n, criterion, model):
+# the paper's problems, then flat ones at rate 40 that land with exact
+# derivatives (the rest of rate 40's n = 3-6 grid does not; see CHANGES.md)
+_SOLVE_ALONE = ([(8, c, m, None) for c in CRITERIA for m in MODELS]
+                + [(17, "smspe", "ordinary", None), (17, "imspe", "simple", None),
+                   (17, "imspe", "ordinary", None), (17, "risk_imspe", "simple", None),
+                   (50, "imspe", "ordinary", None), (50, "smspe", "ordinary", None)]
+                + [(n, "smspe", "ordinary", 40.0) for n in range(3, 7)]
+                + [(n, "imspe", "ordinary", 40.0) for n in range(4, 7)])
+
+
+@pytest.mark.parametrize("n,criterion,model,theta", [
+    pytest.param(n, c, m, theta, id=f"{n}-{c}-{m}" + ("" if theta is None else f"-theta{theta:g}"))
+    for n, c, m, theta in _SOLVE_ALONE])
+def test_solve_alone_lands_on_equispaced(n, criterion, model, theta):
     # from the seeded start, without the equispaced candidate's help
-    problem = _paper_problem(n, criterion, model)
+    if theta is None:
+        problem = _paper_problem(n, criterion, model)
+    else:
+        problem = OptimizationProblem(n, criterion, model, kernel=ExponentialKernel(theta))
     gaps, residual = _solve_alone(problem)
     assert float(np.abs(gaps - 1.0 / (n - 1)).max()) <= 1e-6
     assert residual <= problem.tolerance
+
+
+def test_result_reports_where_the_solve_ended():
+    # the equispaced candidate wins and reads residual 0; the solve's own
+    # end is reported beside it
+    problem = _paper_problem(17, "imspe", "simple")
+    res = optimize(problem)
+    fn, epigraph = opt._objective(problem)
+    gaps, residual, _ = opt._solve(problem, fn, epigraph)
+    assert res.residual == 0.0 and res.gap_deviation == 0.0
+    assert res.solve_residual == residual > 0.0
+    assert res.solve_gap_deviation == float(np.abs(gaps - 1.0 / 16).max()) > 0.0
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -36,7 +36,7 @@ def _design(small):
 def _mp_terms(criterion, model, theta, gaps):
     """Per-interval criterion terms at unit variance, in mpmath."""
     theta = mp.mpf(theta)
-    ds = [mp.mpf(float(d)) for d in gaps]
+    ds = [mp.mpf(d) for d in gaps]
     q0 = 1 + mp.fsum(mp.tanh(theta * d / 2) for d in ds)
     terms = []
     for d in ds:
