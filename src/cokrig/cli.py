@@ -57,9 +57,12 @@ order:
   standard pairing for ``lambdac`` in {0.2, 0.5, 0.8}).
 
 A correlogram block ``<prefix>.*`` has ``<prefix>.kind`` in
-{``exponential``, ``squared-exponential``, ``matern15``, ``nugget``}
-with ``<prefix>.theta`` (decay rate) or ``<prefix>.lambda`` (decay
-base) as required by the kind.
+{``exponential``, ``squared-exponential``, ``matern15``, ``nugget``},
+and its other keys are the fields of that correlogram class: for
+``exponential`` ``<prefix>.theta`` (decay rate) or ``<prefix>.lambda``
+(decay base), for ``squared-exponential`` and ``matern15``
+``<prefix>.lambda``, for ``nugget`` none.  A key the kind does not take
+is reported as unknown, and one it needs as missing.
 
 Exit codes: 0 success; 2 for invalid inputs (parse, domain,
 validation, extrapolation, flags the subcommand would ignore); 3 for
@@ -94,33 +97,37 @@ def _fmt(x: float) -> str:
 # input loading
 # --------------------------------------------------------------------------
 
-def load_design_text(text: str) -> design_mod.Design:
-    """Parse a design file: one positive gap per line, ``#`` comments."""
-    gaps = []
+def _numeric_rows(text: str, width: int, what: str) -> list[list[float]]:
+    """The rows of ``width`` numbers in ``text``, ``#`` starting a comment; a
+    malformed row is a ``ParseError`` naming its line."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            gaps.append(float(line))
+            values = [float(part) for part in line.split()]
         except ValueError:
-            raise ParseError(f"expected one number per line, got {line!r}", lineno) from None
+            values = []
+        if len(values) != width:
+            raise ParseError(f"expected {what} per line, got {line!r}", lineno)
+        rows.append(values)
+    return rows
+
+
+def load_design_text(text: str) -> design_mod.Design:
+    """Parse a design file: one positive gap per line, ``#`` comments."""
+    gaps = [gap for (gap,) in _numeric_rows(text, 1, "one number")]
     if not gaps:
         raise ParseError("design file contains no gaps")
-    total = sum(gaps)
-    if abs(total - 1.0) >= 1e-6:
-        raise ParseError(
-            f"design gaps sum to {total!r}; must equal 1 within 1e-6"
-        )
-    if abs(total - 1.0) > 1e-12:
-        print(
-            f"warning: design gaps sum to {total!r}; normalizing",
-            file=sys.stderr,
-        )
     try:
-        return design_mod.Design(0.0, 1.0, gaps)
+        design = design_mod.Design(0.0, 1.0, gaps)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
+    total = sum(gaps)
+    if abs(total - 1.0) > 1e-12:
+        print(f"warning: design gaps sum to {total!r}; normalizing", file=sys.stderr)
+    return design
 
 
 def _read_text(path: str) -> str:
@@ -174,20 +181,8 @@ def _prior_from_args(args) -> criteria.ThetaPrior:
     if prior_path is not None:
         if args.theta1 is not None or args.theta2 is not None:
             raise ParseError("--prior-file and --theta1/--theta2 are mutually exclusive")
-        rates, dens = [], []
-        for lineno, raw in enumerate(_read_text(prior_path).splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected 'rate density' per line", lineno)
-            try:
-                rates.append(float(parts[0]))
-                dens.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(f"malformed prior row {line!r}", lineno) from None
-        return criteria.ThetaPrior.tabulated(rates, dens, e_sigma11=e_sigma11)
+        rows = _numeric_rows(_read_text(prior_path), 2, "'rate density'")
+        return criteria.ThetaPrior(rows, e_sigma11)
     if args.theta1 is None or args.theta2 is None:
         raise ParseError("provide --theta1 and --theta2, or --prior-file")
     return criteria.ThetaPrior.uniform(args.theta1, args.theta2, e_sigma11=e_sigma11)

@@ -33,11 +33,11 @@ constructed and inspected deliberately.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .design import Design, _real, _real_fields
+from .design import Design, _check_fields, _finite, _fraction, _positive
 from .exceptions import DomainError, ParseError, ValidationError
 
 __all__ = [
@@ -92,21 +92,16 @@ class Correlogram:
 class ExponentialCorrelogram(Correlogram):
     """``exp(-rate * h)``, the rough Markovian correlogram."""
 
-    rate: float
+    rate: float = field(metadata={"key": "theta"})
     kind = "exponential"
 
     def __post_init__(self):
-        _real_fields(self, "rate")
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise DomainError(f"decay rate must be finite and positive, got {self.rate}")
+        _check_fields(self, _positive, "rate")
 
     @classmethod
     def from_base(cls, base: float) -> "ExponentialCorrelogram":
         """Same correlogram parametrized as ``base ** h`` with base in (0, 1)."""
-        base = _real(base, "base")
-        if not (np.isfinite(base) and 0.0 < base < 1.0):
-            raise DomainError(f"base must lie in (0, 1), got {base}")
-        return cls(-math.log(base))
+        return cls(-math.log(_fraction(base, "base")))
 
     @property
     def base(self) -> float:
@@ -120,12 +115,10 @@ class ExponentialCorrelogram(Correlogram):
 class _BaseCorrelogram(Correlogram):
     """A correlogram given by its decay ``base`` in (0, 1); ``rate = -log(base)``."""
 
-    base: float
+    base: float = field(metadata={"key": "lambda"})
 
     def __post_init__(self):
-        _real_fields(self, "base")
-        if not (np.isfinite(self.base) and 0.0 < self.base < 1.0):
-            raise DomainError(f"base must lie in (0, 1), got {self.base}")
+        _check_fields(self, _fraction, "base")
 
     @property
     def rate(self) -> float:
@@ -230,17 +223,13 @@ class GeneralizedMarkov(BivariateCovariance):
     sigma22: float
     rho: float
     c11: Correlogram
-    c_r: Correlogram
+    c_r: Correlogram = field(metadata={"key": "cr"})
 
     family = "generalized-markov"
 
     def __post_init__(self):
-        _real_fields(self, "sigma11", "sigma22", "rho")
-        for name in ("sigma11", "sigma22", "rho"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.sigma11 <= 0 or self.sigma22 <= 0:
-            raise DomainError("variances must be positive")
+        _check_fields(self, _positive, "sigma11", "sigma22")
+        _check_fields(self, _finite, "rho")
 
     @property
     def residual_margin(self) -> float:
@@ -288,12 +277,8 @@ class Proportional(BivariateCovariance):
     family = "proportional"
 
     def __post_init__(self):
-        _real_fields(self, "sigma11", "sigma12", "sigma22")
-        for name in ("sigma11", "sigma12", "sigma22"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.sigma11 <= 0 or self.sigma22 <= 0:
-            raise DomainError("variances must be positive")
+        _check_fields(self, _positive, "sigma11", "sigma22")
+        _check_fields(self, _finite, "sigma12")
 
     @property
     def c11(self) -> Correlogram:
@@ -329,18 +314,13 @@ class _LambdaFamily(BivariateCovariance):
 
     sigma11: float
     sigma22: float
-    lam: float
-    lamc: float
+    lam: float = field(metadata={"key": "lambda"})
+    lamc: float = field(metadata={"key": "lambdac"})
 
     def __post_init__(self):
-        _real_fields(self, "sigma11", "sigma22", "lam", "lamc")
-        if not (np.isfinite(self.sigma11) and self.sigma11 > 0
-                and np.isfinite(self.sigma22) and self.sigma22 > 0):
-            raise DomainError("variances must be positive and finite")
-        if not (np.isfinite(self.lam) and 0.0 < self.lam < 1.0):
-            raise DomainError(f"decay base must lie in (0, 1), got {self.lam}")
-        if not np.isfinite(self.lamc):
-            raise DomainError("cross coefficient must be finite")
+        _check_fields(self, _positive, "sigma11", "sigma22")
+        _check_fields(self, _fraction, "lam")
+        _check_fields(self, _finite, "lamc")
 
     @property
     def c11(self) -> Correlogram:
@@ -472,9 +452,7 @@ class NS2(_LambdaFamily):
                     "pass alpha explicitly"
                 )
             object.__setattr__(self, "alpha", alpha)
-        _real_fields(self, "alpha")
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise DomainError(f"cross exponent must lie in (0, 1), got {self.alpha}")
+        _check_fields(self, _fraction, "alpha")
 
     def cov12(self, h):
         hh = _as_distance(h)
@@ -611,46 +589,6 @@ def reduction_applies(model: BivariateCovariance) -> tuple[bool, float | None]:
 # key = value config serialization
 # --------------------------------------------------------------------------
 
-_CORR_KINDS = ("exponential", "squared-exponential", "matern15", "nugget")
-
-
-def _build_correlogram(prefix: str, kind: str, params: dict[str, float], lineno):
-    if kind == "nugget":
-        if params:
-            raise ParseError(f"{prefix}: nugget takes no parameters", lineno)
-        return NuggetCorrelogram()
-    if kind == "exponential":
-        if set(params) == {"theta"}:
-            return ExponentialCorrelogram(params["theta"])
-        if set(params) == {"lambda"}:
-            return ExponentialCorrelogram.from_base(params["lambda"])
-        raise ParseError(
-            f"{prefix}: exponential needs exactly one of "
-            f"'{prefix}.theta' or '{prefix}.lambda'", lineno)
-    if kind == "squared-exponential":
-        if set(params) == {"lambda"}:
-            return SquaredExponentialCorrelogram(params["lambda"])
-        raise ParseError(f"{prefix}: squared-exponential needs '{prefix}.lambda'", lineno)
-    if kind == "matern15":
-        if set(params) == {"lambda"}:
-            return Matern15Correlogram(params["lambda"])
-        raise ParseError(f"{prefix}: matern15 needs '{prefix}.lambda'", lineno)
-    raise ParseError(f"{prefix}: unknown correlogram kind '{kind}', "
-                     f"expected one of {_CORR_KINDS}", lineno)
-
-
-def _format_correlogram(prefix: str, corr: Correlogram) -> list[str]:
-    if isinstance(corr, NuggetCorrelogram):
-        return [f"{prefix}.kind = nugget"]
-    if isinstance(corr, ExponentialCorrelogram):
-        return [f"{prefix}.kind = exponential", f"{prefix}.theta = {corr.rate!r}"]
-    if isinstance(corr, SquaredExponentialCorrelogram):
-        return [f"{prefix}.kind = squared-exponential", f"{prefix}.lambda = {corr.base!r}"]
-    if isinstance(corr, Matern15Correlogram):
-        return [f"{prefix}.kind = matern15", f"{prefix}.lambda = {corr.base!r}"]
-    raise DomainError(f"cannot serialize correlogram {corr!r}")
-
-
 class _Entries:
     """Parsed key/value lines with line numbers, consumed key by key."""
 
@@ -668,35 +606,18 @@ class _Entries:
                 raise ParseError(f"duplicate key '{key}'", lineno)
             self.data[key] = (lineno, value)
 
-    def take(self, key: str) -> str:
+    def take(self, key: str) -> tuple[int, str]:
+        """The line number and value of ``key``, which must be present."""
         if key not in self.data:
             raise ParseError(f"missing required key '{key}'")
-        return self.data.pop(key)[1]
+        return self.data.pop(key)
 
     def take_float(self, key: str) -> float:
-        if key not in self.data:
-            raise ParseError(f"missing required key '{key}'")
-        lineno, value = self.data.pop(key)
+        lineno, value = self.take(key)
         try:
             return float(value)
         except ValueError:
             raise ParseError(f"'{key}' must be a number, got {value!r}", lineno) from None
-
-    def take_optional_float(self, key: str) -> float | None:
-        if key not in self.data:
-            return None
-        return self.take_float(key)
-
-    def take_correlogram(self, prefix: str):
-        kind_key = f"{prefix}.kind"
-        lineno = self.data.get(kind_key, (None,))[0]
-        kind = self.take(kind_key)
-        params = {}
-        for pname in ("theta", "lambda"):
-            v = self.take_optional_float(f"{prefix}.{pname}")
-            if v is not None:
-                params[pname] = v
-        return _build_correlogram(prefix, kind, params, lineno)
 
     def finish(self):
         if self.data:
@@ -705,11 +626,57 @@ class _Entries:
             raise ParseError(f"unknown key(s): {keys}", lineno)
 
 
-# Every family, by the name its config's ``family`` key gives; a family's
-# config keys are its dataclass fields, in order, with these renames.
+# Every family, by the name its config's ``family`` key gives, and every
+# correlogram, by the name its block's ``kind`` key gives.  Their config
+# keys are their dataclass fields, in order, spelled as a field's
+# ``metadata["key"]`` where it has one.
 _FAMILIES = {cls.family: cls for cls in (GeneralizedMarkov, Proportional, NS1, Mat05, Mat15,
                                          MatInf, NS2, NS3)}
-_CONFIG_KEYS = {"lam": "lambda", "lamc": "lambdac", "c_r": "cr"}
+_CORRELOGRAMS = {cls.kind: cls for cls in (ExponentialCorrelogram, SquaredExponentialCorrelogram,
+                                           Matern15Correlogram, NuggetCorrelogram)}
+
+
+def _read(entries: _Entries, cls, prefix: str = ""):
+    """An instance of the dataclass ``cls`` from its keys under ``prefix``.
+
+    For ``cls`` ``Correlogram`` the class is the one ``<prefix>kind``
+    names.  A correlogram field ``f`` is read the same way, as the block
+    under the prefix ``f.``.
+    """
+    if cls is Correlogram:
+        lineno, kind = entries.take(prefix + "kind")
+        if kind not in _CORRELOGRAMS:
+            raise ParseError(f"unknown correlogram kind '{kind}' in '{prefix}kind', "
+                             f"expected one of {tuple(_CORRELOGRAMS)}", lineno)
+        cls = _CORRELOGRAMS[kind]
+        # an exponential block may give its decay base instead of its rate
+        if cls is ExponentialCorrelogram and prefix + "lambda" in entries.data:
+            return cls.from_base(entries.take_float(prefix + "lambda"))
+    values = []
+    for f in fields(cls):
+        key = prefix + f.metadata.get("key", f.name)
+        if f.type is Correlogram:
+            values.append(_read(entries, Correlogram, key + "."))
+        elif f.default is None and key not in entries.data:
+            values.append(None)
+        else:
+            values.append(entries.take_float(key))
+    return cls(*values)
+
+
+def _write(obj, prefix: str = "") -> list[str]:
+    """The config lines of the dataclass ``obj``'s fields under ``prefix``, as
+    ``_read`` reads them back."""
+    lines = []
+    for f in fields(obj):
+        key, value = prefix + f.metadata.get("key", f.name), getattr(obj, f.name)
+        if f.type is not Correlogram:
+            lines.append(f"{key} = {value!r}")
+        elif type(value) in _CORRELOGRAMS.values():
+            lines += [f"{key}.kind = {value.kind}", *_write(value, key + ".")]
+        else:
+            raise DomainError(f"cannot serialize correlogram {value!r}")
+    return lines
 
 
 def parse_config(text: str) -> BivariateCovariance:
@@ -718,28 +685,23 @@ def parse_config(text: str) -> BivariateCovariance:
     The grammar is one ``key = value`` pair per line with ``#``
     comments.  After ``family``, a family's keys are its fields in
     order, with ``lam``, ``lamc`` and ``c_r`` spelled ``lambda``,
-    ``lambdac`` and ``cr``; a correlogram field ``f`` takes ``f.kind``
-    and its parameters, and a field that defaults to None may be
-    omitted.  The command-line module lists the keys per family.
-    Unknown or missing keys raise :class:`ParseError` with the offending
-    line number.
+    ``lambdac`` and ``cr``; a field that defaults to None may be
+    omitted.  A correlogram field ``f`` is a block: ``f.kind`` names
+    the correlogram, and its other keys are that class's fields, with
+    ``rate`` spelled ``theta`` and ``base`` ``lambda`` (``f.theta`` or
+    ``f.lambda`` for exponential, ``f.lambda`` for squared-exponential
+    and matern15, none for nugget).  The command-line module lists the
+    keys per family.  Malformed, unknown or missing keys raise
+    :class:`ParseError`, with the line number where there is one; a key
+    that a block's kind does not take is unknown, and one it needs is
+    missing.
     """
     entries = _Entries(text)
-    family = entries.take("family").lower()
+    family = entries.take("family")[1].lower()
     if family not in _FAMILIES:
         raise ParseError(f"unknown family '{family}'")
-    cls = _FAMILIES[family]
     try:
-        values = []
-        for f in fields(cls):
-            key = _CONFIG_KEYS.get(f.name, f.name)
-            if f.type is Correlogram:
-                values.append(entries.take_correlogram(key))
-            elif f.default is None:
-                values.append(entries.take_optional_float(key))
-            else:
-                values.append(entries.take_float(key))
-        model = cls(*values)
+        model = _read(entries, _FAMILIES[family])
     except DomainError as exc:
         raise ParseError(f"invalid parameters for family '{family}': {exc}") from exc
     entries.finish()
@@ -748,13 +710,6 @@ def parse_config(text: str) -> BivariateCovariance:
 
 def format_config(model: BivariateCovariance) -> str:
     """Serialize a model to the config text accepted by ``parse_config``."""
-    if model.family not in _FAMILIES:
+    if _FAMILIES.get(model.family) is not type(model):
         raise DomainError(f"cannot serialize model {model!r}")
-    lines = [f"family = {model.family}"]
-    for f in fields(_FAMILIES[model.family]):
-        key, value = _CONFIG_KEYS.get(f.name, f.name), getattr(model, f.name)
-        if f.type is Correlogram:
-            lines += _format_correlogram(key, value)
-        else:
-            lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"family = {model.family}", *_write(model)]) + "\n"

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernel as kern
-from .design import Design, _real, _real_fields
+from .design import Design, _check_fields, _positive, _real
 from .exceptions import DomainError, NumericError
 from .kernel import ExponentialKernel
 
@@ -122,9 +122,7 @@ class ThetaPrior:
     e_sigma11: float = 1.0
 
     def __post_init__(self):
-        _real_fields(self, "e_sigma11")
-        if not (np.isfinite(self.e_sigma11) and self.e_sigma11 > 0):
-            raise DomainError(f"e_sigma11 must be finite and positive, got {self.e_sigma11}")
+        _check_fields(self, _positive, "e_sigma11")
         try:
             nodes = tuple((_real(t, "prior rate"), _real(r, "prior density"))
                           for t, r in self.nodes)
@@ -150,9 +148,9 @@ class ThetaPrior:
 
     @classmethod
     def uniform(cls, theta1: float, theta2: float, e_sigma11: float = 1.0) -> "ThetaPrior":
-        t1, t2 = _real(theta1, "theta1"), _real(theta2, "theta2")
-        if not (np.isfinite(t1) and np.isfinite(t2) and 0 < t1 < t2):
-            raise DomainError(f"need 0 < theta1 < theta2, got [{t1}, {t2}]")
+        t1, t2 = _positive(theta1, "theta1"), _positive(theta2, "theta2")
+        if not t1 < t2:
+            raise DomainError(f"need theta1 < theta2, got [{t1}, {t2}]")
         r = 1.0 / (t2 - t1)
         return cls(((t1, r), (t2, r)), e_sigma11)
 
@@ -476,8 +474,5 @@ def relative_efficiency(reference_value: float, candidate_value: float) -> float
     Both values must be finite and positive; a candidate no better than the
     reference yields a ratio in (0, 1].
     """
-    if not (np.isfinite(reference_value) and reference_value > 0):
-        raise DomainError(f"reference value must be finite and positive, got {reference_value}")
-    if not (np.isfinite(candidate_value) and candidate_value > 0):
-        raise DomainError(f"candidate value must be finite and positive, got {candidate_value}")
-    return float(reference_value) / float(candidate_value)
+    reference = _positive(reference_value, "reference_value")
+    return reference / _positive(candidate_value, "candidate_value")

@@ -8,6 +8,7 @@ is primary and the site coordinates are derived.  Both are read-only
 float arrays, validated and built once when the design is made.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -22,6 +23,9 @@ GAP_SUM_RTOL = 1e-6
 # After renormalization the gap sum must match the interval length to
 # this accumulation tolerance.
 GAP_SUM_ATOL = 1e-12
+
+# Endpoints within this of 0 and 1 make a design one on the unit interval.
+UNIT_INTERVAL_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +54,7 @@ class Design:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x0, x1 = _real(self.x_start, "x_start"), _real(self.x_end, "x_end")
-        if not (np.isfinite(x0) and np.isfinite(x1)):
-            raise DomainError("design endpoints must be finite")
+        x0, x1 = _finite(self.x_start, "x_start"), _finite(self.x_end, "x_end")
         # NumPy's float conversion, which also reads numeric strings: telling
         # them apart would cost a type scan of every gap
         try:
@@ -94,9 +96,10 @@ class Design:
     def length(self) -> float:
         return self.x_end - self.x_start
 
-    def is_unit_interval(self, tol: float = 1e-12) -> bool:
-        """True when the design lives on [0, 1] up to ``tol``."""
-        return abs(self.x_start) <= tol and abs(self.x_end - 1.0) <= tol
+    def is_unit_interval(self) -> bool:
+        """True when the design lives on [0, 1] up to ``UNIT_INTERVAL_ATOL``."""
+        return (abs(self.x_start) <= UNIT_INTERVAL_ATOL
+                and abs(self.x_end - 1.0) <= UNIT_INTERVAL_ATOL)
 
     def gap_array(self) -> np.ndarray:
         """The stored ``gaps`` array itself."""
@@ -113,15 +116,42 @@ def _real(value, name: str) -> float:
     return float(arr)
 
 
-def _real_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as ``_real`` of itself."""
+def _finite(value, name: str) -> float:
+    """``_real(value, name)`` if it is finite."""
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(value, name: str) -> float:
+    """``_real(value, name)`` if it is finite and positive: a variance, a rate."""
+    value = _real(value, name)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def _fraction(value, name: str) -> float:
+    """``_real(value, name)`` if it lies strictly inside (0, 1): a decay base."""
+    value = _real(value, name)
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
+def _check_fields(obj, check, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as ``check`` of itself."""
     for name in names:
-        object.__setattr__(obj, name, _real(getattr(obj, name), name))
+        object.__setattr__(obj, name, check(getattr(obj, name), name))
 
 
-def _count(value, name: str, least: int) -> int:
-    """``operator.index(value)``, which NumPy integers pass, if at least ``least``."""
+def _count(value, name: str, least: float) -> int:
+    """``operator.index(value)``, which NumPy integers pass and bools do not,
+    if at least ``least``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
@@ -145,9 +175,7 @@ def rescale(design: Design, theta: float) -> tuple[Design, float]:
     the same factor leaves every covariance quantity unchanged.  Returns
     the unit-interval design and the adjusted rate.
     """
-    theta = _real(theta, "theta")
-    if not (np.isfinite(theta) and theta > 0):
-        raise DomainError(f"decay rate must be finite and positive, got {theta}")
+    theta = _positive(theta, "theta")
     length = design.length
     unit = Design(0.0, 1.0, design.gaps / length)
     return unit, theta * length

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, _real, _real_fields
-from .exceptions import ConditioningError, DomainError, ExtrapolationError
+from .design import Design, _check_fields, _positive, _real
+from .exceptions import ConditioningError, ExtrapolationError
 
 # Gaps with theta * d below this would make w(d) numerically
 # indistinguishable from zero; refuse to form the noisy inverse.
@@ -65,18 +65,7 @@ class ExponentialKernel:
     sigma11: float = 1.0
 
     def __post_init__(self):
-        _real_fields(self, "theta", "sigma11")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise DomainError(f"decay rate must be finite and positive, got {self.theta}")
-        if not (np.isfinite(self.sigma11) and self.sigma11 > 0):
-            raise DomainError(f"variance must be finite and positive, got {self.sigma11}")
-
-
-def _check_theta(theta: float) -> float:
-    theta = _real(theta, "theta")
-    if not (np.isfinite(theta) and theta > 0):
-        raise DomainError(f"decay rate must be finite and positive, got {theta}")
-    return theta
+        _check_fields(self, _positive, "theta", "sigma11")
 
 
 def precision_matrix(design: Design, theta: float) -> np.ndarray:
@@ -91,7 +80,7 @@ def precision_matrix(design: Design, theta: float) -> np.ndarray:
     Raises a conditioning error when any ``theta * d_i`` falls below
     ``MIN_THETA_GAP``.
     """
-    theta = _check_theta(theta)
+    theta = _positive(theta, "theta")
     gaps = design.gaps
     if theta * gaps.min() < MIN_THETA_GAP:
         raise ConditioningError(
@@ -116,7 +105,7 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     Strictly increasing in every gap, which is what makes the ordinary
     criteria Schur-convex.
     """
-    theta = _check_theta(theta)
+    theta = _positive(theta, "theta")
     return 1.0 + float(np.sum(np.tanh(0.5 * theta * design.gaps)))
 
 
@@ -303,6 +292,6 @@ def quad_forms_at(design: Design, theta: float, x0: float) -> tuple[float, float
         If ``x0`` lies outside ``[x_start, x_end]``; the closed error
         formulas do not extend beyond the sampled interval.
     """
-    theta = _check_theta(theta)
-    simple, cross = _pointwise(design, theta, float(x0))
+    theta = _positive(theta, "theta")
+    simple, cross = _pointwise(design, theta, _real(x0, "x0"))
     return 1.0 - float(simple), 1.0 - float(cross)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, _count, _real
+from .design import Design, _count, _finite, _positive
 from .exceptions import ConditioningError, DomainError
 from .kernel import MIN_THETA_GAP
 
@@ -82,12 +82,9 @@ def _as_replicates(n: int, z1, z2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_params(theta, sigma11, sigma22, rho) -> float:
-    for name, v in (("theta", theta), ("sigma11", sigma11),
-                    ("sigma22", sigma22), ("rho", rho)):
-        if not np.isfinite(_real(v, name)):
-            raise DomainError(f"{name} must be finite, got {v}")
-    if theta <= 0 or sigma11 <= 0 or sigma22 <= 0:
-        raise DomainError("theta and variances must be positive")
+    for name, v in (("theta", theta), ("sigma11", sigma11), ("sigma22", sigma22)):
+        _positive(v, name)
+    _finite(rho, "rho")
     tau = sigma22 - rho**2 * sigma11
     if tau <= 0:
         raise DomainError(

@@ -31,7 +31,7 @@ import numpy as np
 from . import criteria as crit
 from . import kernel as kern
 from .criteria import ThetaPrior
-from .design import Design, _count, _real_fields
+from .design import Design, _check_fields, _count, _positive
 from .exceptions import DomainError
 from .kernel import ExponentialKernel
 
@@ -101,9 +101,7 @@ class OptimizationProblem:
         else:
             if self.kernel is None or self.prior is not None:
                 raise DomainError(f"criterion {self.criterion!r} takes a kernel, not a prior")
-        _real_fields(self, "tolerance")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
+        _check_fields(self, _positive, "tolerance")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from . import kernel as kern
 from .covmodel import (NS2, BivariateCovariance, Correlogram, ExponentialCorrelogram,
                        _require_valid, build_cross_vector, build_joint_covariance,
                        reduction_applies)
-from .design import Design, _real
+from .design import Design, _positive, _real
 from .exceptions import ConditioningError, DomainError
 from .kernel import ExponentialKernel
 
@@ -199,10 +199,7 @@ def _check_pair(kernel) -> tuple[float, Correlogram]:
         ) from None
     if not isinstance(corr, Correlogram):
         raise DomainError(f"second element must be a Correlogram, got {corr!r}")
-    sigma11 = _real(sigma11, "sigma11")
-    if not (np.isfinite(sigma11) and sigma11 > 0):
-        raise DomainError(f"variance must be finite and positive, got {sigma11}")
-    return sigma11, corr
+    return _positive(sigma11, "sigma11"), corr
 
 
 def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str = "simple"):
@@ -229,6 +226,7 @@ def mspe_closed_form(kernel: ExponentialKernel, design: Design, x0, model: str =
 
 
 def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionResult:
+    x0 = _real(x0, "x0")
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
     if not np.all(np.isfinite(z1)):
         raise DomainError("observations must be finite")
@@ -239,7 +237,7 @@ def _krige(kernel, design: Design, z1, x0: float, ordinary: bool) -> PredictionR
     else:
         sigma11, corr = _check_pair(kernel)
     if isinstance(corr, ExponentialCorrelogram):
-        err, _, weights = kern._pointwise(design, corr.rate, float(x0), ordinary, weights=True)
+        err, _, weights = kern._pointwise(design, corr.rate, x0, ordinary, weights=True)
         mspe = sigma11 * float(err)
     else:
         x0 = float(kern._bracket(design, x0))
@@ -275,7 +273,7 @@ def _cokrige(model, design: Design, obs: ObservationVector, x0: float, ordinary:
     if reduction_applies(model)[0]:
         kr = _krige((model.sigma11, model.c11), design, obs.z1, x0, ordinary)
         return PredictionResult(kr.value, kr.mspe, np.concatenate([kr.weights, np.zeros(n)]))
-    x0 = float(kern._bracket(design, x0))
+    x0 = float(kern._bracket(design, _real(x0, "x0")))
     cov0, var0 = build_cross_vector(model, design, x0)
     drift = None
     if ordinary:

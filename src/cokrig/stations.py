@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .design import Design
+from .design import Design, _check_fields, _count, _finite
 from .exceptions import DomainError, ParseError
 
 __all__ = [
@@ -46,10 +46,12 @@ class StationRecord:
     def __post_init__(self):
         if not self.station_id:
             raise DomainError("station_id must be nonempty")
-        if not (np.isfinite(self.lat) and -90.0 <= self.lat <= 90.0):
+        _check_fields(self, _finite, "lat", "lon")
+        if not -90.0 <= self.lat <= 90.0:
             raise DomainError(f"latitude {self.lat} outside [-90, 90]")
-        if not (np.isfinite(self.lon) and -180.0 <= self.lon <= 180.0):
+        if not -180.0 <= self.lon <= 180.0:
             raise DomainError(f"longitude {self.lon} outside [-180, 180]")
+        object.__setattr__(self, "order", _count(self.order, "order", -math.inf))
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,7 @@ class ObservationRecord:
     def __post_init__(self):
         if not self.station_id:
             raise DomainError("station_id must be nonempty")
-        if not (np.isfinite(self.z1) and np.isfinite(self.z2)):
-            raise DomainError("observations must be finite")
+        _check_fields(self, _finite, "z1", "z2")
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class IngestReport:
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in kilometers between two lat/lon points."""
+    lat1, lon1, lat2, lon2 = map(_finite, (lat1, lon1, lat2, lon2),
+                                 ("lat1", "lon1", "lat2", "lon2"))
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = p2 - p1
     dl = math.radians(lon2 - lon1)

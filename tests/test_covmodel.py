@@ -11,6 +11,7 @@ from cokrig import (
     NS2,
     NS3,
     BivariateCovariance,
+    Correlogram,
     Design,
     DomainError,
     ExponentialCorrelogram,
@@ -211,13 +212,13 @@ LAMBDA_FAMILIES = (NS1, Mat05, Mat15, MatInf, NS2, NS3)
 
 @pytest.mark.parametrize("cls", LAMBDA_FAMILIES, ids=lambda c: c.__name__)
 def test_lambda_families_share_parameter_checks(cls):
-    with pytest.raises(DomainError, match=r"^variances must be positive and finite$"):
+    with pytest.raises(DomainError, match=r"^sigma22 must be finite and positive, got 0.0$"):
         cls(1.0, 0.0, 0.5, 0.2)
-    with pytest.raises(DomainError, match=r"^variances must be positive and finite$"):
+    with pytest.raises(DomainError, match=r"^sigma11 must be finite and positive, got nan$"):
         cls(math.nan, 1.0, 0.5, 0.2)
-    with pytest.raises(DomainError, match=r"^decay base must lie in \(0, 1\), got 1.5$"):
+    with pytest.raises(DomainError, match=r"^lam must lie in \(0, 1\), got 1.5$"):
         cls(1.0, 1.0, 1.5, 0.2)
-    with pytest.raises(DomainError, match=r"^cross coefficient must be finite$"):
+    with pytest.raises(DomainError, match=r"^lamc must be finite, got inf$"):
         cls(1.0, 1.0, 0.5, math.inf)
     extra = {"alpha": 0.5} if cls is NS2 else {}
     report = validate(cls(1.0, 1.0, 0.5, -1.5, **extra))
@@ -621,14 +622,16 @@ def test_parse_config_structural_errors():
 
 def test_parse_config_correlogram_errors():
     head = "family = proportional\nsigma11 = 1\nsigma12 = 0\nsigma22 = 1\n"
-    with pytest.raises(ParseError, match="unknown correlogram kind"):
+    with pytest.raises(ParseError, match=r"^line 5: unknown correlogram kind 'fractal' in "
+                                         r"'base.kind', expected one of \('exponential', "):
         parse_config(head + "base.kind = fractal\n")
-    with pytest.raises(ParseError, match="nugget takes no parameters"):
+    with pytest.raises(ParseError, match=r"^line 6: unknown key\(s\): base.lambda$"):
         parse_config(head + "base.kind = nugget\nbase.lambda = 0.5\n")
-    with pytest.raises(ParseError, match="exactly one of"):
+    # an exponential block's lambda stands in for its theta, so both are one too many
+    with pytest.raises(ParseError, match=r"^line 6: unknown key\(s\): base.theta$"):
         parse_config(head + "base.kind = exponential\n"
                             "base.theta = 1\nbase.lambda = 0.5\n")
-    with pytest.raises(ParseError, match="squared-exponential needs"):
+    with pytest.raises(ParseError, match=r"^missing required key 'base.lambda'$"):
         parse_config(head + "base.kind = squared-exponential\nbase.theta = 1\n")
 
 
@@ -646,6 +649,9 @@ def test_format_config_refuses_an_unregistered_family():
 
     with pytest.raises(DomainError, match="cannot serialize model"):
         format_config(Custom(1.0, 1.0, 0.5, 0.2))
+    for corr in (Correlogram(), "exponential"):
+        with pytest.raises(DomainError, match="cannot serialize correlogram"):
+            format_config(Proportional(1.0, 0.0, 1.0, corr))
 
 
 def test_format_config_ends_with_newline():

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cokrig import (NS1, NS2, NS3, Design, DomainError, ExponentialCorrelogram, ExponentialKernel,
-                    GeneralizedMarkov, Matern15Correlogram, NuggetCorrelogram,
-                    OptimizationProblem, Proportional, SquaredExponentialCorrelogram, ThetaPrior,
-                    equispaced, format_config, imspe, loglikelihood, optimize, parse_config,
-                    precision_matrix, rescale, simple_krige, simulate_observations, smspe)
+                    GeneralizedMarkov, Matern15Correlogram, NuggetCorrelogram, ObservationRecord,
+                    ObservationVector, OptimizationProblem, Proportional,
+                    SquaredExponentialCorrelogram, StationRecord, ThetaPrior, equispaced,
+                    format_config, haversine_km, imspe, loglikelihood, ones_quadratic_form,
+                    optimize, ordinary_cokrige, ordinary_krige, parse_config, precision_matrix,
+                    quad_forms_at, relative_efficiency, rescale, simple_cokrige, simple_krige,
+                    simulate_observations, smspe)
 from oracles import majorization_perturb
 
 
@@ -100,6 +103,7 @@ def test_counts_must_be_integers(call, count):
 
 # Every public constructor or function that takes a real scalar, each
 # taking it through ``design._real``.
+# Every public taker of a scalar, by taker and, where it takes several, field
 SCALAR_TAKERS = {
     "Design.x_start": lambda v: Design(v, 1.0, (1.0,)),
     "Design.x_end": lambda v: Design(0.0, v, (1.0,)),
@@ -131,6 +135,36 @@ SCALAR_TAKERS = {
                                                    equispaced(3), [1.0, 2.0, 3.0], 0.5),
     "loglikelihood.rho": lambda v: loglikelihood(equispaced(3), [1.0, 2.0, 3.0],
                                                  [0.0, 1.0, 0.0], 2.0, 1.0, 1.0, v),
+    "ones_quadratic_form": lambda v: ones_quadratic_form(equispaced(3), v),
+    "quad_forms_at.theta": lambda v: quad_forms_at(equispaced(3), v, 0.5),
+    "quad_forms_at.x0": lambda v: quad_forms_at(equispaced(3), 2.0, v),
+    "GeneralizedMarkov.sigma22": lambda v: GeneralizedMarkov(
+        1.0, v, 0.5, ExponentialCorrelogram(1.0), NuggetCorrelogram()),
+    "Proportional.sigma11": lambda v: Proportional(v, 0.0, 1.0, ExponentialCorrelogram(1.0)),
+    "ThetaPrior.uniform.theta2": lambda v: ThetaPrior.uniform(1.0, v),
+    "relative_efficiency.reference_value": lambda v: relative_efficiency(v, 1.0),
+    "relative_efficiency.candidate_value": lambda v: relative_efficiency(1.0, v),
+    "simple_krige.x0": lambda v: simple_krige(ExponentialKernel(1.0), equispaced(3),
+                                              [1.0, 2.0, 3.0], v),
+    "ordinary_krige.x0": lambda v: ordinary_krige((1.0, Matern15Correlogram(0.5)),
+                                                  equispaced(3), [1.0, 2.0, 3.0], v),
+    "simple_cokrige.x0": lambda v: simple_cokrige(
+        NS2(1.0, 1.0, 0.5, 0.5), equispaced(3),
+        ObservationVector([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]), v),
+    "ordinary_cokrige.x0": lambda v: ordinary_cokrige(
+        GeneralizedMarkov(1.0, 1.0, 0.5, ExponentialCorrelogram(1.0), NuggetCorrelogram()),
+        equispaced(3), ObservationVector([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]), v),
+    "loglikelihood.theta": lambda v: loglikelihood(equispaced(3), [1.0, 2.0, 3.0],
+                                                   [0.0, 1.0, 0.0], v, 1.0, 1.0, 0.5),
+    "simulate_observations.sigma22": lambda v: simulate_observations(equispaced(3), 2.0, 1.0,
+                                                                     v, 0.5),
+    "StationRecord.lat": lambda v: StationRecord("a", v, 2.0, 1),
+    "StationRecord.lon": lambda v: StationRecord("a", 1.0, v, 1),
+    "StationRecord.order": lambda v: StationRecord("a", 1.0, 2.0, v),
+    "ObservationRecord.z1": lambda v: ObservationRecord("a", v, 1.0),
+    "ObservationRecord.z2": lambda v: ObservationRecord("a", 1.0, v),
+    "haversine_km.lat1": lambda v: haversine_km(v, 0.0, 0.0, 0.0),
+    "haversine_km.lon2": lambda v: haversine_km(0.0, 0.0, 0.0, v),
 }
 
 
@@ -145,7 +179,53 @@ NOT_REAL = {"numeric-string": "1", "string": "x", "None": None, "bool": True,
     if (taker, kind) != ("NS2.alpha", "None")
 ])
 def test_scalars_must_be_real_numbers(taker, value):
-    with pytest.raises(DomainError, match="real number"):
+    kind = "an integer" if taker == "StationRecord.order" else "a real number"
+    with pytest.raises(DomainError, match=kind):
+        SCALAR_TAKERS[taker](value)
+
+
+# The takers of a scalar that must be finite and positive, inside (0, 1), or
+# finite, each with the name of the field its refusal gives
+POSITIVE = {
+    "rescale": "theta", "ExponentialKernel.theta": "theta",
+    "ExponentialKernel.sigma11": "sigma11", "precision_matrix": "theta",
+    "ones_quadratic_form": "theta", "quad_forms_at.theta": "theta",
+    "ExponentialCorrelogram": "rate", "GeneralizedMarkov.sigma22": "sigma22",
+    "Proportional.sigma11": "sigma11", "NS1": "sigma11", "NS2.sigma11": "sigma11",
+    "NS3": "sigma22", "ThetaPrior.uniform": "theta1", "ThetaPrior.uniform.theta2": "theta2",
+    "ThetaPrior.uniform.e_sigma11": "e_sigma11", "ThetaPrior.e_sigma11": "e_sigma11",
+    "OptimizationProblem.tolerance": "tolerance",
+    "relative_efficiency.reference_value": "reference_value",
+    "relative_efficiency.candidate_value": "candidate_value",
+    "simple_krige.sigma11": "sigma11", "loglikelihood.theta": "theta",
+    "simulate_observations.sigma22": "sigma22",
+}
+FRACTION = {
+    "ExponentialCorrelogram.from_base": "base", "SquaredExponentialCorrelogram": "base",
+    "Matern15Correlogram": "base", "NS2.lam": "lam", "NS2.alpha": "alpha",
+}
+FINITE = {
+    "Design.x_start": "x_start", "Design.x_end": "x_end", "equispaced": "x_end",
+    "GeneralizedMarkov": "rho", "Proportional": "sigma12", "NS2.lamc": "lamc",
+    "loglikelihood.rho": "rho", "StationRecord.lat": "lat", "StationRecord.lon": "lon",
+    "ObservationRecord.z1": "z1", "ObservationRecord.z2": "z2",
+    "haversine_km.lat1": "lat1", "haversine_km.lon2": "lon2",
+}
+OUT_OF_DOMAIN = (
+    [(taker, v, f"{name} must be finite and positive") for taker, name in POSITIVE.items()
+     for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+    + [(taker, v, rf"{name} must lie in \(0, 1\)") for taker, name in FRACTION.items()
+       for v in (0.0, 1.0, math.nan)]
+    + [(taker, v, f"{name} must be finite") for taker, name in FINITE.items()
+       for v in (math.nan, math.inf, -math.inf)]
+)
+
+
+@pytest.mark.parametrize("taker, value, message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in OUT_OF_DOMAIN
+])
+def test_scalars_outside_their_domain_are_refused_by_name(taker, value, message):
+    with pytest.raises(DomainError, match=f"^{message}, got "):
         SCALAR_TAKERS[taker](value)
 
 
