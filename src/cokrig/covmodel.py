@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .design import Design, _check_fields, _finite, _fraction, _positive
+from .design import Design, _check_fields, _finite, _fraction, _positive, _real
 from .exceptions import DomainError, ParseError, ValidationError
 
 __all__ = [
@@ -554,7 +554,7 @@ def build_cross_vector(
     Returns the length-``2n`` vector ``(C11(|x - x0|), C12(|x - x0|))``
     together with the target variance ``C11(0)``.
     """
-    h0 = np.abs(design.points - float(x0))
+    h0 = np.abs(design.points - _real(x0, "x0"))
     vec = np.concatenate([
         np.asarray(model.cov11(h0), dtype=float),
         np.asarray(model.cov12(h0), dtype=float),
@@ -645,6 +645,7 @@ def _read(entries: _Entries, cls, prefix: str = ""):
     """
     if cls is Correlogram:
         lineno, kind = entries.take(prefix + "kind")
+        kind = kind.lower()
         if kind not in _CORRELOGRAMS:
             raise ParseError(f"unknown correlogram kind '{kind}' in '{prefix}kind', "
                              f"expected one of {tuple(_CORRELOGRAMS)}", lineno)
@@ -690,7 +691,8 @@ def parse_config(text: str) -> BivariateCovariance:
     the correlogram, and its other keys are that class's fields, with
     ``rate`` spelled ``theta`` and ``base`` ``lambda`` (``f.theta`` or
     ``f.lambda`` for exponential, ``f.lambda`` for squared-exponential
-    and matern15, none for nugget).  The command-line module lists the
+    and matern15, none for nugget).  Keys and the values of ``family``
+    and ``kind`` are case-insensitive.  The command-line module lists the
     keys per family.  Malformed, unknown or missing keys raise
     :class:`ParseError`, with the line number where there is one; a key
     that a block's kind does not take is unknown, and one it needs is

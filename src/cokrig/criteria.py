@@ -28,14 +28,15 @@ Bayes risks average a criterion over a prior on ``theta`` and scale by
 the prior mean of ``sigma11`` (criteria are linear in the variance).
 A prior is a table of ``(rate, density)`` nodes, linear between them; a
 uniform prior is the flat two-node table.  The average walks the
-table's segments.  On a flat segment the simple-model criteria
-integrate in closed form, through ``log cosh`` and ``log(sinh x / x)``;
-every other segment takes Gauss-Legendre quadrature, starting at 8
-nodes and doubling until two successive estimates agree to a relative
-``RISK_QUAD_TOL``.  The integrands are analytic in ``theta`` on each
-segment, so the rule converges geometrically: on the paper's prior the
-8- and 16-node estimates already agree, 24 rate evaluations in all.
-``risk_report`` returns a risk with the nodes it took and the last
+table's segments, each by Gauss-Legendre quadrature in ``s = log
+theta`` with weights ``theta * density(theta)``, on pieces no wider than
+a decade, starting at 8 nodes and doubling until two successive
+estimates agree to a relative ``RISK_QUAD_TOL``.  Each criterion changes
+with ``log theta``, and saturates once ``theta d`` is large, so a rule in
+``s`` resolves a prior spanning many decades where a rule linear in
+``theta`` puts all its nodes in the saturated range.  On the paper's
+prior the 8- and 16-node estimates already agree, 24 rate evaluations in
+all.  ``risk_report`` returns a risk with the nodes it took and the last
 doubling difference.
 """
 
@@ -64,23 +65,26 @@ __all__ = [
 
 MODELS = ("simple", "ordinary")
 
-# Gauss-Legendre node counts tried by the risk quadrature on each prior
-# segment: start at 8 and double until two successive estimates agree to
-# RISK_QUAD_TOL relative to the newer one, or fail beyond RISK_QUAD_MAX.
+# Gauss-Legendre node counts tried by the risk quadrature in log theta on
+# each piece of a prior segment: start at 8 and double until two successive
+# estimates agree to RISK_QUAD_TOL relative to the newer one, or fail
+# beyond RISK_QUAD_MAX.
 RISK_QUAD_START = 8
 RISK_QUAD_MAX = 4096
 RISK_QUAD_TOL = 1e-9
 
+# The risk quadrature cuts a prior segment into equal pieces no wider than
+# this in log theta.  The criteria have poles pi / 2 off the real log-theta
+# axis (where theta d = i pi k), so on a piece of half-width h an m-node
+# rule's error falls like rho^(-2m), rho = b + sqrt(1 + b^2), b = pi / (2h):
+# on a decade rho is about 3, and 16 nodes reach about 3e-16.  Over a whole
+# segment of many decades rho nears 1, and the 16- and 32-node rules can
+# agree to RISK_QUAD_TOL while both are off by 1e-11.
+_LOG_WIDTH = math.log(10.0)
+
 # The risk quadrature evaluates at most this many (node, gap) terms at
 # once, so its memory does not grow with the number of sites.
 _RISK_QUAD_BLOCK = 2**19
-
-# log(sinh x / x) integrates (x coth x - 1) / x term by term.
-_SINHC_SERIES = kern._COTH_SERIES / np.arange(2, 2 * kern._COTH_SERIES.size + 1, 2)
-
-# A flat prior segment [lo, hi] with hi at least this multiple of lo is
-# wide enough for its closed forms' differences to cancel little.
-_WIDE_SEGMENT = 1.5
 
 
 def _check_model(model: str) -> str:
@@ -233,121 +237,35 @@ def _leggauss(m: int):
 
 
 @lru_cache(maxsize=64)
-def _prior_rule(prior: ThetaPrior, m: int):
-    """``m``-node Gauss-Legendre rates and density-weighted weights for each
-    segment between the prior's nodes (the rule stalls across kinks)."""
-    x, w = _leggauss(m)
-    rules = []
-    for (lo, _), (hi, _) in zip(prior.nodes, prior.nodes[1:]):
-        thetas = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        rules.append((thetas, 0.5 * (hi - lo) * w * prior.density(thetas)))
-    return rules
+def _prior_rule(prior: ThetaPrior, counts: tuple[int, ...]):
+    """Gauss-Legendre rules in ``s = log theta`` on each segment between
+    the prior's nodes (a rule stalls across kinks).
 
-
-def _log_cosh(y):
-    """``log cosh y`` elementwise for ``y >= 0``, without overflow or cancellation."""
-    return np.where(y < 1.0, np.log1p(2.0 * np.sinh(0.5 * np.minimum(y, 1.0)) ** 2),
-                    y - math.log(2.0) + np.log1p(np.exp(-2.0 * y)))
-
-
-def _log_sinhc(x):
-    """``log(sinh x / x)`` for ``x > 0``, by its series below the cutoff."""
-    return kern._piecewise(x, x < kern._SERIES_CUTOFF, lambda: x + np.log(-np.expm1(-2.0 * x))
-                           - np.log(2.0 * x), _SINHC_SERIES, 2)
-
-
-def _x_coth_x(x):
-    """``x coth x - 1`` for ``x > 0``, by its series below the cutoff."""
-    return kern._piecewise(x, x < kern._SERIES_CUTOFF, lambda: x / np.tanh(x) - 1.0,
-                           kern._COTH_SERIES, 2)
-
-
-def _tanh_step(a, b, delta):
-    """``tanh b - tanh a`` for ``b = a + delta``, as ``sinh delta / (cosh a
-    cosh b)`` scaled by ``e^{-a-b}`` so that nothing overflows."""
-    return -2.0 * np.exp(-2.0 * a) * np.expm1(-2.0 * delta) / (
-        (1.0 + np.exp(-2.0 * a)) * (1.0 + np.exp(-2.0 * b)))
-
-
-def _log_cosh_step(a, delta):
-    """``log cosh(a + delta) - log cosh a`` for ``delta >= 0``, without
-    cancellation: ``log1p(2 sinh^2(delta / 2) + tanh(a) sinh delta)``, and
-    from ``delta = 1`` on, where ``sinh`` could overflow, ``delta +
-    log1p(expm1(-2 delta) e^{-2a} / (1 + e^{-2a}))``."""
-    near, e = np.minimum(delta, 1.0), np.exp(-2.0 * a)
-    return np.where(delta < 1.0, np.log1p(2.0 * np.sinh(0.5 * near) ** 2 + np.tanh(a) * np.sinh(near)),
-                    delta + np.log1p(np.expm1(-2.0 * delta) * e / (1.0 + e)))
-
-
-def _series_step(coefs, u, v):
-    """``(p(v) - p(u)) / (v - u)`` for ``p(y) = sum_k coefs[k] y^(k+1)``:
-    Horner's rule at ``v`` gives the quotient's coefficients, and Horner's
-    rule at ``u`` on those sums the divided difference without subtracting
-    ``p(u)`` from ``p(v)``."""
-    b = acc = coefs[-1]
-    for c in coefs[-2::-1]:
-        b = c + v * b
-        acc = b + u * acc
-    return acc
-
-
-def _sinhc_step(a, b, delta):
-    """``S(b) - S(a)`` and ``F(b) - F(a)`` for ``S(x) = log(sinh x / x)``,
-    ``F(x) = x coth x - 1`` and ``b = a + delta < _WIDE_SEGMENT a``, without
-    subtracting nearly equal values.  Below the cutoff both are ``b^2 - a^2
-    = delta (a + b)`` times a divided difference of their series in ``x^2``.
-    Above it ``a > _SERIES_CUTOFF / _WIDE_SEGMENT``, and with ``log(sinh b /
-    sinh a) = delta + log1p(e^{-2a} expm1(-2 delta) / expm1(-2a))``, ``S(b) -
-    S(a)`` is that minus ``log1p(delta / a)`` and ``F(b) - F(a) = delta coth
-    b - a sinh delta / (sinh a sinh b)``, each scaled so that nothing
-    overflows."""
-    small = b < kern._SERIES_CUTOFF
-    ds, df = np.empty(b.shape), np.empty(b.shape)
-    sa, sb, sd = a[small], b[small], delta[small]
-    width = sd * (sa + sb)
-    ds[small] = width * _series_step(_SINHC_SERIES, sa * sa, sb * sb)
-    df[small] = width * _series_step(kern._COTH_SERIES, sa * sa, sb * sb)
-    la, lb, ld = a[~small], b[~small], delta[~small]
-    ea, eb, ed = np.expm1(-2.0 * la), np.expm1(-2.0 * lb), np.expm1(-2.0 * ld)
-    shift = np.exp(-2.0 * la) * ed / ea
-    ds[~small] = ld + np.log1p(shift) - np.log1p(ld / la)
-    df[~small] = ld * (1.0 - 2.0 * np.exp(-2.0 * lb) / eb) + 2.0 * la * shift / eb
-    return ds, df
-
-
-def _flat_integral(criterion: str, lo: float, hi: float, gaps, terms: bool, grad: bool = False):
-    """Integral over ``[lo, hi]`` in the rate of the simple model's
-    unit-variance criterion, or with ``terms`` of each per-interval term;
-    the closed forms are those of :func:`risk_smspe` and :func:`risk_imspe`.
-
-    A wide segment (``hi >= _WIDE_SEGMENT lo``) takes them as differences
-    at the two ends, which lose at most a factor of about 3 to
-    cancellation; a narrower one takes :func:`_log_cosh_step` and
-    :func:`_sinhc_step`.  With ``grad``, also each term's derivative in its
-    own gap, for ``smspe`` ``(2 / d^2) (H(B) - H(A))`` with ``H(u) = u tanh
-    u - log cosh u`` at ``A, B = lo d / 2, hi d / 2``, and for ``imspe``
-    ``b S'(b d) - a S'(a d) = (F(hi d) - F(lo d)) / d``.
+    A segment ``[lo, hi]`` is cut into the fewest equal pieces in ``s``
+    no wider than ``_LOG_WIDTH``, and each rule is applied on every piece.
+    On a piece of half-width ``h`` starting at ``s0`` the nodes map to
+    ``theta = exp(s0 + h (x + 1))``, with ``h`` taken from ``log1p((hi -
+    lo) / lo)`` so that a narrow segment does not cancel, and the weights
+    are ``h w theta density(theta)``.  For each segment: the rates of
+    every rule in ``counts`` side by side, and one weight row per rule,
+    zero off its own rates.
     """
-    wide = hi >= _WIDE_SEGMENT * lo
-    if criterion == "smspe":
-        d = gaps if terms else gaps.max()
-        a, b, delta = 0.5 * lo * d, 0.5 * hi * d, 0.5 * (hi - lo) * d
-        step = _log_cosh(b) - _log_cosh(a) if wide else _log_cosh_step(a, delta)
-        value = 2.0 * step / d
-        if not grad:
-            return value
-        return value, 2.0 * (delta * np.tanh(b) + a * _tanh_step(a, b, delta) - step) / (d * d)
-    if wide:
-        s = _log_sinhc(np.multiply.outer((lo, hi), gaps))
-        if not terms:
-            s = s.sum(axis=-1)
-        value = s[1] - s[0]
-        if not grad:
-            return value
-        return value, (_x_coth_x(hi * gaps) - _x_coth_x(lo * gaps)) / gaps
-    step, dstep = _sinhc_step(lo * gaps, hi * gaps, (hi - lo) * gaps)
-    value = step if terms else step.sum()
-    return (value, dstep / gaps) if grad else value
+    rules = [_leggauss(m) for m in counts]
+    x = np.concatenate([r[0] for r in rules])
+    ends = np.cumsum([0, *counts])
+    out = []
+    for (lo, _), (hi, _) in zip(prior.nodes, prior.nodes[1:]):
+        span = math.log1p((hi - lo) / lo)
+        pieces = math.ceil(span / _LOG_WIDTH)
+        h = 0.5 * span / pieces
+        thetas = lo * np.exp(h * (x + 1.0 + 2.0 * np.arange(pieces)[:, None]))
+        scale = h * thetas * prior.density(thetas)
+        weights = np.zeros((len(counts), pieces, x.size))
+        for row, (_, w) in enumerate(rules):
+            a, b = ends[row], ends[row + 1]
+            weights[row, :, a:b] = w * scale[:, a:b]
+        out.append((thetas.ravel(), weights.reshape(len(counts), -1)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,7 +275,7 @@ class RiskReport:
     ``nodes`` counts the rates at which the criterion was evaluated, over
     every Gauss-Legendre rule tried and every segment of the prior;
     ``error`` is the last doubling difference, summed over the segments
-    and scaled like ``value``.  Segments in closed form add to neither.
+    and scaled like ``value``.
     """
 
     value: float
@@ -369,13 +287,13 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
           grad: bool = False):
     """Bayes risk on a unit-sum gap vector; also the optimizer's objective.
 
-    Walks the prior's segments.  The simple model on a flat segment takes
-    the closed form of :func:`_flat_integral` times the density.  Every
-    other segment takes Gauss-Legendre quadrature, doubling the node count
-    from ``RISK_QUAD_START`` until two successive estimates differ by at
-    most ``RISK_QUAD_TOL`` times the newer one's largest entry; the nodes
-    are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.  With
-    ``terms=True`` the per-interval terms are averaged instead, and
+    Walks the prior's segments, each by Gauss-Legendre quadrature in
+    ``log theta`` (see :func:`_prior_rule`).  The first pass evaluates the
+    ``RISK_QUAD_START``- and doubled rules' rates together; each later
+    pass doubles the node count, until two successive estimates differ by
+    at most ``RISK_QUAD_TOL`` times the newer one's largest entry.  The
+    rates are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.
+    With ``terms=True`` the per-interval terms are averaged instead, and
     ``value`` is an array with one average per gap.
 
     ``grad=True`` returns the report and the derivatives in the gaps,
@@ -386,39 +304,32 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
     block = max(1, _RISK_QUAD_BLOCK // size)
     pick = 0 if terms else 1
     total, dtotal, nodes, error = 0.0, 0.0, 0, 0.0
-    for seg, ((lo, r_lo), (hi, r_hi)) in enumerate(zip(prior.nodes, prior.nodes[1:])):
-        if model == "simple" and r_lo == r_hi:
-            flat = _flat_integral(criterion, lo, hi, gaps, terms, grad)
-            if grad:
-                flat, dflat = flat
-                dtotal += r_lo * (np.diag(dflat) if terms else dflat)
-            total += r_lo * flat
-            continue
-        m, prev = RISK_QUAD_START, None
+    for seg in range(len(prior.nodes) - 1):
+        counts, prev = (RISK_QUAD_START, 2 * RISK_QUAD_START), None
         while True:
-            thetas, weights = _prior_rule(prior, m)[seg]
+            thetas, weights = _prior_rule(prior, counts)[seg]
             est = dest = 0
-            for j in range(0, m, block):
+            for j in range(0, thetas.size, block):
                 out = kern._interval_terms(thetas[j:j + block], gaps, criterion, model,
                                            terms=terms, grad=grad)
-                est = est + weights[j:j + block] @ out[pick]
+                est = est + weights[:, j:j + block] @ out[pick]
                 if grad:
-                    dest = dest + np.tensordot(weights[j:j + block], out[2], axes=1)
+                    dest = dest + np.tensordot(weights[:, j:j + block], out[2], axes=1)
                 del out  # one block's arrays alive at a time, as the block size intends
-            nodes += m
-            if prev is not None:
-                diff = float(np.max(np.abs(est - prev)))
-                if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
-                    break
-            if m >= RISK_QUAD_MAX:
+            nodes += thetas.size
+            *lower, est = est
+            prev = lower[-1] if lower else prev
+            diff = float(np.max(np.abs(est - prev)))
+            if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
+                break
+            if counts[-1] >= RISK_QUAD_MAX:
                 raise NumericError(
                     f"risk quadrature did not stabilize to a relative {RISK_QUAD_TOL} "
-                    f"within {RISK_QUAD_MAX} nodes on segment {seg} of the prior"
+                    f"within {RISK_QUAD_MAX} nodes a piece on segment {seg} of the prior"
                 )
-            prev = est
-            m *= 2
+            prev, counts = est, (2 * counts[-1],)
         total += est
-        dtotal += dest
+        dtotal += dest[-1] if grad else 0.0
         error += diff
     value = total if terms else float(total)
     report = RiskReport(prior.e_sigma11 * value, nodes, prior.e_sigma11 * error)
@@ -426,32 +337,14 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
 
 
 def risk_smspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
-    """Prior-averaged supremum criterion.
-
-    For the simple model the theta-integral of ``tanh(theta d_max / 2)``
-    over a flat segment ``[a, b]`` of density ``r`` is ``log cosh``,
-    giving the segment's closed form
-
-        ``E_sigma * r * 2 (log cosh(b d / 2) - log cosh(a d / 2)) / d``
-
-    with ``d`` the widest gap.  Every other segment goes through the prior
-    quadrature.
-    """
+    """Prior-averaged supremum criterion: the prior average of ``smspe``
+    at unit variance, times the prior mean of ``sigma11``."""
     return risk_report("smspe", prior, design, model).value
 
 
 def risk_imspe(prior: ThetaPrior, design: Design, model: str = "simple") -> float:
-    """Prior-averaged integrated criterion.
-
-    For the simple model the theta-integral of ``(x coth x - 1) / theta``
-    is ``log(sinh x / x)`` with ``x = theta d``; over a flat segment
-    ``[a, b]`` of density ``r`` that gives
-
-        ``E_sigma * r * sum_i (S(b d_i) - S(a d_i))``,
-        ``S(x) = log(sinh x / x)``.
-
-    Every other segment goes through the prior quadrature.
-    """
+    """Prior-averaged integrated criterion: the prior average of ``imspe``
+    at unit variance, times the prior mean of ``sigma11``."""
     return risk_report("imspe", prior, design, model).value
 
 

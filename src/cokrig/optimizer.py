@@ -3,9 +3,9 @@
 One SLSQP solve (Kraft 1988) runs directly on the gap vector: every gap
 is bounded to ``[_MIN_GAP, 1]`` and the gaps sum to one.  The integrated
 criteria (``imspe``, ``risk_imspe``) are smooth in the gaps and are
-minimized as they are, through the same closed forms or quadrature the
-public criteria use, and the solve's end is polished by a few Newton
-steps toward equal partial derivatives.  The supremum criteria
+minimized as they are, through the same closed forms and prior
+quadrature the public criteria use, and the solve's end is polished by a
+few Newton steps toward equal partial derivatives.  The supremum criteria
 (``smspe``, ``risk_smspe``) are the largest of per-interval terms and
 take the epigraph form: minimize ``t`` subject to ``t >= term_i(d)`` for
 every interval.  Every derivative is exact: each criterion is a sum or a
@@ -155,11 +155,10 @@ def _objective(problem: OptimizationProblem):
     and with ``grad`` also the gradient (or the terms' Jacobian) in the
     gaps, from the same pass.  Both come from the gap-level functions
     behind the public criteria, minus their checks; a risk is one ``_risk``
-    walk over the prior's segments, closed forms included.  For
-    ``risk_smspe`` each term is averaged over the prior: every term rises
-    with its own gap at every rate, so the widest gap holds the largest
-    term at every rate, and the average of the maximum is the maximum of
-    the averages.
+    walk over the prior's segments.  For ``risk_smspe`` each term is
+    averaged over the prior: every term rises with its own gap at every
+    rate, so the widest gap holds the largest term at every rate, and the
+    average of the maximum is the maximum of the averages.
     """
     model = problem.model
     epigraph = problem.criterion.endswith("smspe")

@@ -573,6 +573,10 @@ def test_parse_config_comments_and_case():
     m = parse_config(text)
     assert isinstance(m, Mat05)
     assert m.sigma22 == 2.0
+    # a block's kind, like the family, is read in any case
+    head = "family = proportional\nsigma11 = 1\nsigma12 = 0\nsigma22 = 1\nbase.theta = 2\n"
+    assert parse_config(head + "base.kind = Exponential\n") == parse_config(
+        head + "base.kind = exponential\n")
 
 
 def test_parse_config_exponential_rate_or_base():

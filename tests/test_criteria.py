@@ -319,10 +319,9 @@ def test_flat_tabulated_prior_matches_uniform(xi0):
     uniform = ThetaPrior.uniform(t1, t2)
     assert flat == uniform and hash(flat) == hash(uniform)
     for criterion in ("smspe", "imspe"):
-        # closed form on the flat segment for the simple model only
-        for model, nodes in (("simple", 0), ("ordinary", 8 + 16)):
+        for model in ("simple", "ordinary"):
             report = risk_report(criterion, flat, xi0, model)
-            assert report.nodes == nodes
+            assert report.nodes == 8 + 16
             assert report.value == pytest.approx(
                 _risk_oracle(uniform, xi0, model, criterion), abs=1e-7)
 
@@ -331,13 +330,12 @@ def test_flat_and_sloped_segments(rng, xi0):
     # flat on [15.12, 17.12], falling linearly to 0 on [17.12, 19.12]
     prior = ThetaPrior.tabulated([15.12, 17.12, 19.12], [1.0 / 3.0, 1.0 / 3.0, 0.0],
                                  e_sigma11=0.85)
-    sloped = ThetaPrior.tabulated([17.12, 19.12], [1.0, 0.0])
     for design in (xi0, equispaced(6), _random_unit_design(rng, 9)):
         for criterion in ("smspe", "imspe"):
             report = risk_report(criterion, prior, design, "simple")
             assert report.value == pytest.approx(
                 _risk_oracle(prior, design, "simple", criterion), abs=1e-7)
-            assert report.nodes == risk_report(criterion, sloped, design, "simple").nodes > 0
+            assert report.nodes == 2 * (8 + 16)
 
 
 def test_risks_scale_with_mean_variance(xi0):
@@ -360,37 +358,42 @@ def test_risk_validation(xi0):
 PAPER_PRIOR = ThetaPrior.uniform(12.12, 22.12)
 
 
+@pytest.mark.parametrize("model", ["simple", "ordinary"])
 @pytest.mark.parametrize("criterion", ["smspe", "imspe"])
 @pytest.mark.parametrize("n", [17, 10**5])
-def test_risk_report_paper_prior_takes_the_8_and_16_node_rules(criterion, n):
+def test_risk_report_paper_prior_takes_the_8_and_16_node_rules(criterion, n, model):
     design = equispaced(n)
-    report = risk_report(criterion, PAPER_PRIOR, design, "ordinary")
+    report = risk_report(criterion, PAPER_PRIOR, design, model)
     fn = risk_smspe if criterion == "smspe" else risk_imspe
-    assert report.value == fn(PAPER_PRIOR, design, "ordinary")
+    assert report.value == fn(PAPER_PRIOR, design, model)
     assert report.nodes == 8 + 16
     assert 0.0 <= report.error <= crit.RISK_QUAD_TOL * report.value
 
 
-@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
-def test_risk_report_closed_forms_take_no_nodes(criterion, xi0):
-    prior = ThetaPrior.uniform(12.12, 22.12, e_sigma11=0.85)
-    fn = risk_smspe if criterion == "smspe" else risk_imspe
-    report = risk_report(criterion, prior, xi0, "simple")
-    assert (report.value, report.nodes, report.error) == (fn(prior, xi0), 0, 0.0)
-
-
-def test_risk_report_wide_prior_doubles_past_16_nodes():
-    report = risk_report("imspe", ThetaPrior.uniform(0.01, 1000.0), equispaced(17), "ordinary")
+# equispaced designs on wide priors, each against its value by mpmath.quad
+# at 40 digits with a breakpoint at every decade; a rule linear in theta
+# stopped at 24 nodes on [1, 1e6] and [1, 1e5], 1.4e-4 and 2.4e-4 off, and
+# raised NumericError after 4096 nodes on [1e-3, 1e8]
+@pytest.mark.parametrize("criterion, lo, hi, n, want", [
+    ("imspe", 0.01, 1000.0, 17, 0.97055201518734924),
+    ("smspe", 1.0, 1e6, 100, 1.0098596453321136),
+    ("smspe", 1.0, 1e5, 17, 1.0585729234606962),
+    ("imspe", 1e-3, 1e8, 17, 1.0588204794712547),
+], ids=["imspe-0.01-1000", "smspe-1-1e6", "smspe-1-1e5", "imspe-0.001-1e8"])
+def test_risk_report_wide_priors_match_mpmath(criterion, lo, hi, n, want):
+    report = risk_report(criterion, ThetaPrior.uniform(lo, hi), equispaced(n), "ordinary")
     assert report.nodes > 24
     assert report.error <= crit.RISK_QUAD_TOL * report.value
+    assert report.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_risk_quadrature_stops_on_the_relative_difference():
-    # on this 1000-site design the 8- and 16-node rules differ by 9e-10,
-    # within an absolute 1e-9 but 3e-9 relative: the rule must double on
+    # on this 1000-site design over [30, 300], one piece, the 8- and 16-node
+    # rules differ by 8.0e-10, within an absolute 1e-9 but 1.6e-9 relative:
+    # the rule must double on
     gaps = np.random.default_rng(5).dirichlet(np.ones(999))
     design = Design(0.0, 1.0, tuple(gaps))
-    report = risk_report("imspe", ThetaPrior.uniform(0.01, 1000.0), design, "ordinary")
+    report = risk_report("smspe", ThetaPrior.uniform(30.0, 300.0), design, "ordinary")
     assert report.nodes > 24
     assert report.error <= crit.RISK_QUAD_TOL * report.value
 

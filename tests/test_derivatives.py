@@ -120,10 +120,10 @@ def test_risk_derivatives_match_mpmath_on_wide_and_kinked_priors(prior_name, cri
 @pytest.mark.parametrize("criterion", ["smspe", "imspe"])
 def test_narrow_prior_segments_match_mpmath(criterion):
     # ThetaPrior.uniform(lo, lo (1 + w)) at relative widths w of 1e-6 to
-    # 1e-2: the simple model's closed forms must not lose the digits that
-    # a difference of nearly equal values would; lo puts theta * d below
-    # the series cutoff, near 1, and where sinh overflows.  The ordinary
-    # model takes quadrature on every segment, which does not subtract
+    # 1e-2: the log-theta rule's half-width must not lose the digits that
+    # log(hi) - log(lo) would (2.6e-10 here); lo puts theta * d below the
+    # series cutoff, near 1, and where sinh overflows.  Both models share
+    # the rule, so the simple one stands for both
     model = "simple"
     mp.mp.dps = 20
     rng = np.random.default_rng(20240818)

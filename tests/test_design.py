@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from cokrig import (NS1, NS2, NS3, Design, DomainError, ExponentialCorrelogram, ExponentialKernel,
                     GeneralizedMarkov, Matern15Correlogram, NuggetCorrelogram, ObservationRecord,
                     ObservationVector, OptimizationProblem, Proportional,
-                    SquaredExponentialCorrelogram, StationRecord, ThetaPrior, equispaced,
+                    SquaredExponentialCorrelogram, StationRecord, ThetaPrior, build_cross_vector,
+                    equispaced,
                     format_config, haversine_km, imspe, loglikelihood, ones_quadratic_form,
                     optimize, ordinary_cokrige, ordinary_krige, parse_config, precision_matrix,
                     quad_forms_at, relative_efficiency, rescale, simple_cokrige, simple_krige,
@@ -165,6 +166,8 @@ SCALAR_TAKERS = {
     "ObservationRecord.z2": lambda v: ObservationRecord("a", 1.0, v),
     "haversine_km.lat1": lambda v: haversine_km(v, 0.0, 0.0, 0.0),
     "haversine_km.lon2": lambda v: haversine_km(0.0, 0.0, 0.0, v),
+    "build_cross_vector.x0": lambda v: build_cross_vector(NS2(1.0, 1.0, 0.5, 0.5),
+                                                          equispaced(3), v),
 }
 
 

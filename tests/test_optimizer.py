@@ -116,7 +116,7 @@ def test_optimum_is_equispaced_risk():
 
 
 def test_paper_risk_optimum_on_17_sites():
-    # the paper's 17-site Bayes-risk search runs through the closed form
+    # the paper's 17-site Bayes-risk search, 8 + 16 quadrature nodes a pass
     prior = ThetaPrior.uniform(12.12, 22.12)
     problem = OptimizationProblem(17, "risk_imspe", prior=prior)
     res = optimize(problem)

@@ -7,6 +7,8 @@ evaluated in high-precision arithmetic, so cancellation at small
 designs carry gaps down to ``1e-13``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cokrig import (
     Design,
     ExponentialKernel,
     ThetaPrior,
+    equispaced,
     imspe,
     mspe_closed_form,
     risk_imspe,
@@ -33,11 +36,13 @@ def _design(small):
     return Design(0.0, 1.0, (small, 0.25, 0.3, 0.45 - small))
 
 
-def _mp_terms(criterion, model, theta, gaps):
-    """Per-interval criterion terms at unit variance, in mpmath."""
+def _mp_terms(criterion, model, theta, gaps, counts=None):
+    """Per-interval criterion terms at unit variance, in mpmath; with
+    ``counts``, the terms of distinct gaps that occur that many times."""
     theta = mp.mpf(theta)
     ds = [mp.mpf(d) for d in gaps]
-    q0 = 1 + mp.fsum(mp.tanh(theta * d / 2) for d in ds)
+    counts = [1] * len(ds) if counts is None else counts
+    q0 = 1 + mp.fsum(c * mp.tanh(theta * d / 2) for d, c in zip(ds, counts))
     terms = []
     for d in ds:
         if criterion == "smspe":
@@ -54,9 +59,11 @@ def _mp_terms(criterion, model, theta, gaps):
     return terms
 
 
-def _mp_value(criterion, model, theta, gaps):
-    terms = _mp_terms(criterion, model, theta, gaps)
-    return max(terms) if criterion == "smspe" else mp.fsum(terms)
+def _mp_value(criterion, model, theta, gaps, counts=None):
+    terms = _mp_terms(criterion, model, theta, gaps, counts)
+    if criterion == "smspe":
+        return max(terms)
+    return mp.fsum(terms if counts is None else (c * v for c, v in zip(counts, terms)))
 
 
 def _rel(got, want):
@@ -97,15 +104,28 @@ def test_risks_match_mpmath(criterion, model):
 
 
 # priors whose rates reach far from the paper's [12.12, 22.12], as the
-# density's nodes (the uniforms' cut where mpmath integrates piece by
-# piece): a wide and a very wide uniform, and a tabulated density with kinks
-# inside its support and a zero-density first segment
+# density's nodes (the uniforms' cut at each decade, where mpmath
+# integrates piece by piece): uniforms over two to eleven decades, and a
+# tabulated density with kinks inside its support and a zero-density
+# first segment.  A Gauss-Legendre rule linear in theta stopped falsely on
+# [1, 1e5] and [1, 1e6], and ran out of nodes on [1e-3, 1e8].
 _KINKED_RATES = (1.0, 2.0, 10.0, 17.12, 30.0, 60.0)
 _KINKED_SHAPE = np.array([0.0, 0.0, 1.0, 3.0, 0.5, 0.0])
 _KINKED_DENSITIES = _KINKED_SHAPE / np.trapezoid(_KINKED_SHAPE, _KINKED_RATES)
+
+
+def _decades(lo, hi):
+    rates = (lo, *(10.0**k for k in range(math.floor(math.log10(lo)) + 1,
+                                          math.ceil(math.log10(hi)))), hi)
+    return rates, (1.0 / (hi - lo),) * len(rates)
+
+
 WIDE_PRIORS = {
-    "uniform-0.01-1000": ((0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), (1.0 / 999.99,) * 6),
-    "uniform-0.5-50": ((0.5, 5.0, 50.0), (1.0 / 49.5,) * 3),
+    "uniform-0.01-1000": _decades(0.01, 1000.0),
+    "uniform-0.5-50": _decades(0.5, 50.0),
+    "uniform-1-1e5": _decades(1.0, 1e5),
+    "uniform-1-1e6": _decades(1.0, 1e6),
+    "uniform-0.001-1e8": _decades(1e-3, 1e8),
     "tabulated-kinked": (_KINKED_RATES, tuple(_KINKED_DENSITIES)),
 }
 
@@ -115,8 +135,10 @@ WIDE_PRIORS = {
 @pytest.mark.parametrize("prior_name", sorted(WIDE_PRIORS))
 def test_risks_match_mpmath_on_wide_and_kinked_priors(prior_name, criterion, model):
     # the quadrature starts at 8 nodes and stops once two rules agree; an
-    # early stop on a rule that is still off shows here
-    mp.mp.dps = 40
+    # early stop on a rule that is still off shows here.  20 digits keep
+    # the reference within 1e-20 of a 40-digit one, and the eleven-decade
+    # prior's 16-gap design affordable.
+    mp.mp.dps = 20
     rates, densities = WIDE_PRIORS[prior_name]
     if prior_name.startswith("uniform"):
         prior = ThetaPrior.uniform(rates[0], rates[-1], e_sigma11=0.85)
@@ -124,14 +146,16 @@ def test_risks_match_mpmath_on_wide_and_kinked_priors(prior_name, criterion, mod
         prior = ThetaPrior.tabulated(rates, densities, e_sigma11=0.85)
     fn = risk_smspe if criterion == "smspe" else risk_imspe
     rng = np.random.default_rng(20240815)
-    for n in (3, 17):
-        gaps = rng.dirichlet(np.ones(n - 1))
-        design = Design(0.0, 1.0, tuple(gaps))
-        gaps = design.gap_array()
+    # Dirichlet designs at n = 3 and 17; at n = 100 the equispaced one,
+    # whose single distinct gap keeps mpmath cheap
+    designs = [Design(0.0, 1.0, tuple(rng.dirichlet(np.ones(n - 1)))) for n in (3, 17)]
+    for design in designs + [equispaced(100)]:
+        gaps, counts = np.unique(design.gap_array(), return_counts=True)
+        counts = [int(c) for c in counts]
         want = mp.mpf(0)
         for t0, t1, r0, r1 in zip(rates[:-1], rates[1:], densities[:-1], densities[1:]):
             t0, t1, r0, r1 = (mp.mpf(v) for v in (t0, t1, r0, r1))
-            want += mp.quad(lambda t: _mp_value(criterion, model, t, gaps)
+            want += mp.quad(lambda t: _mp_value(criterion, model, t, gaps, counts)
                             * (r0 + (r1 - r0) * (t - t0) / (t1 - t0)), [t0, t1])
         assert _rel(fn(prior, design, model), 0.85 * want) <= 1e-12
 
