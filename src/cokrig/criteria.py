@@ -38,6 +38,15 @@ with ``log theta``, and saturates once ``theta d`` is large, so a rule in
 prior the 8- and 16-node estimates already agree, 24 rate evaluations in
 all.  ``risk_report`` returns a risk with the nodes it took and the last
 doubling difference.
+
+A risk's value is one pass per rate over one work array of rates by
+gaps; where the rates take several blocks, every block reuses one array.
+``smspe`` is the widest gap's term, with ``q0`` summed in place for the
+ordinary model.  ``imspe`` sums its series in place on a block whose
+every ``theta d`` is below the series cutoff, as on many sites, and its
+closed forms on a block whose every ``theta d`` is above it; a block
+that mixes the two, and the optimizer's terms and gradients, build the
+per-interval arrays.
 """
 
 import math
@@ -83,8 +92,12 @@ RISK_QUAD_TOL = 1e-9
 _LOG_WIDTH = math.log(10.0)
 
 # The risk quadrature evaluates at most this many (node, gap) terms at
-# once, so its memory does not grow with the number of sites.
-_RISK_QUAD_BLOCK = 2**19
+# once, (node, gap, gap) entries with the terms' Jacobian.  A value's work
+# array holds this many, 256 KB, which stays in cache across its passes;
+# on more sites it is one row of gaps, so the memory does not grow beyond
+# that.  Up to 17 sites the paper prior's 24 rates are one block, with the
+# Jacobian too.
+_RISK_QUAD_BLOCK = 2**15
 
 
 def _check_model(model: str) -> str:
@@ -293,7 +306,10 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
     pass doubles the node count, until two successive estimates differ by
     at most ``RISK_QUAD_TOL`` times the newer one's largest entry.  The
     rates are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.
-    With ``terms=True`` the per-interval terms are averaged instead, and
+    The value alone is one pass per rate (see ``kernel._interval_terms``)
+    over one work array of rates by gaps: once a pass takes more than one
+    block, every later block and pass reuses one of ``block`` rows.  With
+    ``terms=True`` the per-interval terms are averaged instead, and
     ``value`` is an array with one average per gap.
 
     ``grad=True`` returns the report and the derivatives in the gaps,
@@ -303,15 +319,18 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
     size = gaps.size * (gaps.size if grad and terms else 1)
     block = max(1, _RISK_QUAD_BLOCK // size)
     pick = 0 if terms else 1
+    work = None
     total, dtotal, nodes, error = 0.0, 0.0, 0, 0.0
     for seg in range(len(prior.nodes) - 1):
         counts, prev = (RISK_QUAD_START, 2 * RISK_QUAD_START), None
         while True:
             thetas, weights = _prior_rule(prior, counts)[seg]
+            if work is None and thetas.size > block and not (terms or grad):
+                work = np.empty((block, gaps.size))
             est = dest = 0
             for j in range(0, thetas.size, block):
                 out = kern._interval_terms(thetas[j:j + block], gaps, criterion, model,
-                                           terms=terms, grad=grad)
+                                           terms=terms, grad=grad, work=work)
                 est = est + weights[:, j:j + block] @ out[pick]
                 if grad:
                     dest = dest + np.tensordot(weights[:, j:j + block], out[2], axes=1)
@@ -319,8 +338,10 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
             nodes += thetas.size
             *lower, est = est
             prev = lower[-1] if lower else prev
-            diff = float(np.max(np.abs(est - prev)))
-            if diff <= RISK_QUAD_TOL * float(np.max(np.abs(est))):
+            # abs() and .max() take a value's NumPy scalar as they do arrays,
+            # where np.max first wraps a scalar in an array (about 3 us)
+            diff = float(abs(est - prev).max())
+            if diff <= RISK_QUAD_TOL * float(abs(est).max()):
                 break
             if counts[-1] >= RISK_QUAD_MAX:
                 raise NumericError(

@@ -109,19 +109,106 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     return 1.0 + float(np.sum(np.tanh(0.5 * theta * design.gaps)))
 
 
-def _piecewise(x, small, direct, coefs, power: int):
+def _series_length(y_max: float, coefs) -> int:
+    """How many of ``coefs`` a series in ``y = x^2`` needs in double
+    precision up to ``y_max``, each term shrinking by at most ``0.21 y``."""
+    return min(coefs.size, 1 + int(-17.0 / math.log10(max(0.21 * y_max, 1e-300))))
+
+
+def _gap_series(coefs, gaps, work, tail: int):
+    """``sum_i sum_k coefs[..., k] d_i^(2k + tail)`` for each row of
+    ``coefs``, by Horner's rule in ``d^2`` inside ``work`` (shaped like the
+    terms, overwritten)."""
+    np.multiply(coefs[..., -1:], gaps, out=work)
+    for k in range(coefs.shape[-1] - 2, -1, -1):
+        work *= gaps
+        work += coefs[..., k:k + 1]
+        work *= gaps
+    for _ in range(tail - 1):
+        work *= gaps
+    return work.sum(axis=-1)
+
+
+def _value(theta, rate, gaps, criterion: str, ordinary: bool, low, work):
+    """A criterion's value alone, in one pass per rate over ``work``.
+
+    Every term rises with its own gap at every rate, so ``smspe`` is the
+    widest gap's term, which for the ordinary model needs only ``q0``.
+    ``imspe`` is taken here when every ``x = theta d`` of the block is on
+    one side of ``_SERIES_CUTOFF``, or for the simple model when the
+    lowest rate ``low`` is at least ``k`` (see :func:`_interval_terms`);
+    otherwise None.  Below the cutoff the series sums are ``sum_k c_k
+    theta^(2k+1) sum_i d_i^(2k+2)`` and ``sum_k g_k theta^(2k+4) sum_i
+    d_i^(2k+5) / (2 q0)``, so the rate goes into each row's coefficients
+    and the gaps into ``work``.  Above it, with ``sum q = 2 theta sum_i d_i
+    / expm1(2 x_i)``, the value is ``sum d - (k - sum q) / theta``, and
+    the ordinary model adds ``(3 theta sum d - theta sum d t^2 - 6 sum t) /
+    (2 theta q0)``; ``sum d`` is taken as 1 where ``low >= k``, as there.
+    ``work`` holds at least ``theta.size`` rows of ``gaps.size``; None
+    allocates them.
+    """
+    k = gaps.size
+    series = False
+    if criterion == "imspe" and (ordinary or low < k):
+        # one product shows which side to test; a block on both sides is None
+        if theta.item(0) * gaps.item(0) < _SERIES_CUTOFF:
+            widest = gaps.max()
+            if low * widest >= _SERIES_CUTOFF:
+                return None
+            x_max = rate.max() * widest
+            series = x_max < _SERIES_CUTOFF
+            if not series:
+                return None
+        elif low * gaps.min() < _SERIES_CUTOFF:
+            return None
+    if ordinary or criterion == "imspe":
+        shape = rate.shape + gaps.shape
+        work = np.empty(shape) if work is None else work[:rate.size].reshape(shape)
+    if ordinary:
+        np.multiply(0.5 * theta, gaps, out=work)
+        tsum = np.tanh(work, out=work).sum(axis=-1)
+        q0 = 1.0 + tsum
+    if criterion == "smspe":
+        x = rate * gaps.max()
+        t = np.tanh(0.5 * x)
+        if ordinary:
+            e = np.exp(-0.5 * x)
+            t = t + (t * t * (1.0 + e * e) / (1.0 + e) ** 2) ** 2 / q0
+        return t
+    if not series:
+        total = 1.0 if low >= k else gaps.sum()
+        value = total - k / rate
+        if ordinary:
+            work *= work
+            work *= gaps
+            value += (3.0 * total - work.sum(axis=-1) - 6.0 * tsum / rate) / (2.0 * q0)
+        np.multiply(2.0 * theta, gaps, out=work)
+        # expm1 overflows from 709.8, and d / expm1(700) is below 1e-304 d
+        np.minimum(work, 700.0, out=work)
+        np.divide(gaps, np.expm1(work, out=work), out=work)
+        return value + 2.0 * work.sum(axis=-1)
+    n_coefs = np.arange(_series_length(x_max * x_max, _COTH_SERIES))
+    rate = rate[..., None]
+    value = _gap_series(_COTH_SERIES[n_coefs] * rate ** (2 * n_coefs + 1), gaps, work, 2)
+    if ordinary:
+        g = _G_SERIES[n_coefs] * rate ** (2 * n_coefs + 4) / (2.0 * q0[..., None])
+        value = value + _gap_series(g, gaps, work, 5)
+    return value
+
+
+def _piecewise(x, small, every, direct, coefs, power: int):
     """``direct()`` where ``x >= _SERIES_CUTOFF``, and below it the series
     ``sum_k coefs[k] x^(2k+power)`` by Horner's rule in ``x^2``; it sums as
     many terms as double precision needs, each shrinking by at most
-    ``0.21 x^2``.  ``small`` is ``x < _SERIES_CUTOFF``.
+    ``0.21 x^2``.  ``small`` is ``x < _SERIES_CUTOFF``; ``every`` is True
+    only if ``small.all()``, and False gives the same result.
     """
-    every = small.all()
     out = None if every else direct()
     if not (every or small.any()):
         return out
     xs = x if every else x[small]
     y = xs * xs
-    k = min(coefs.size, 1 + int(-17.0 / math.log10(max(0.21 * float(y.max()), 1e-300))))
+    k = _series_length(float(y.max()), coefs)
     acc = coefs[k - 1]
     for c in coefs[:k - 1][::-1]:
         acc = acc * y + c
@@ -133,7 +220,7 @@ def _piecewise(x, small, direct, coefs, power: int):
 
 
 def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
-                    grad: bool = False):
+                    grad: bool = False, work=None):
     """Unit-variance per-interval terms of a criterion, and its value.
 
     The forms are those of the ``criteria`` module docstring; ``theta``
@@ -142,7 +229,13 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
     e^{-2x} / (1 - e^{-2x})``; as the gaps sum to one, the simple imspe
     value is also ``1 - (k - sum q) / theta`` for ``k`` gaps, whose
     design-independent part is exact, used once every ``theta >= k``
-    (some ``x >= 1`` then).  ``terms=False`` may return None for terms.
+    (some ``x >= 1`` then).  ``terms=False`` returns None for terms when
+    it takes the value alone in one pass per rate over ``work`` (see
+    :func:`_value`; a work array of at least ``theta.size`` rows of gaps, or
+    None to allocate one): for ``smspe`` always, and for ``imspe`` on a
+    block whose every ``x`` is on one side of ``_SERIES_CUTOFF``.  An
+    ``imspe`` block that mixes the two sides, and ``terms`` and ``grad``,
+    build the per-interval terms.
 
     ``grad=True`` adds a third item, the derivatives in the gaps from the
     same pass: for ``imspe`` the value's gradient (shaped like the terms),
@@ -157,8 +250,14 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
     terms, so it does not assume that the gaps sum to one.
     """
     theta = np.asarray(theta, dtype=float)[..., None]
-    x = theta * gaps
     ordinary = model == "ordinary"
+    rate, k = theta[..., 0], gaps.shape[-1]
+    low = rate.min() if criterion == "imspe" else None
+    if not (terms or grad):
+        value = _value(theta, rate, gaps, criterion, ordinary, low, work)
+        if value is not None:
+            return None, value
+    x = theta * gaps
     tanh_terms = ordinary or criterion == "smspe"
     if tanh_terms:
         t = np.tanh(0.5 * x)
@@ -182,30 +281,33 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
         value = t.max(axis=-1, initial=0.0)
         return (t, value, jac) if grad else (t, value)
 
-    rate, k = theta[..., 0], gaps.shape[-1]
-    split = rate.min() >= k
+    split = low >= k
     small = x < _SERIES_CUTOFF
-    if split or not small.all():
+    # split has some x >= 1 on unit-sum gaps, and a value alone gets here
+    # only for a block with x on both sides of the cutoff
+    every = not split and (terms or grad) and small.all()
+    if not every:
         m = -2.0 * x
         em, den = np.exp(m), np.expm1(m)
         q = m * em / den
     per = None
     if terms or not split:
-        per = _piecewise(x, small, lambda: x - 1.0 + q, _COTH_SERIES, 2) / theta
+        per = _piecewise(x, small, every, lambda: x - 1.0 + q, _COTH_SERIES, 2) / theta
     value = 1.0 - (k - q.sum(axis=-1)) / rate if split else per.sum(axis=-1)
     if grad:
         def d_coth():
             # coth x - x csch^2 x with c = coth x - 1, q = x c, csch^2 = c (c + 2)
             c = -2.0 * em / den
             return 1.0 + c - q * (c + 2.0)
-        dvalue = _piecewise(x, small, d_coth, _D_COTH_SERIES, 1)
+        dvalue = _piecewise(x, small, every, d_coth, _D_COTH_SERIES, 1)
     if ordinary:
-        g = _piecewise(x, small, lambda: x * (3.0 - t * t) - 6.0 * t, _G_SERIES, 5)
+        g = _piecewise(x, small, every, lambda: x * (3.0 - t * t) - 6.0 * t, _G_SERIES, 5)
         g /= 2.0 * theta * q0
         per = None if per is None else per + g
         value = value + g.sum(axis=-1)
         if grad:
-            dg = _piecewise(x, small, lambda: t * (2.0 * t - x * (sech * sech)), _D_G_SERIES, 4)
+            dg = _piecewise(x, small, every, lambda: t * (2.0 * t - x * (sech * sech)),
+                            _D_G_SERIES, 4)
             dvalue = dvalue + dg / (2.0 * q0) - g.sum(axis=-1, keepdims=True) * dt / q0
     return (per, value, dvalue) if grad else (per, value)
 

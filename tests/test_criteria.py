@@ -25,6 +25,7 @@ from cokrig import (
     smspe,
 )
 from cokrig import criteria as crit
+from cokrig import kernel as kern
 import oracles
 from oracles import imspe_numeric, majorization_perturb, smspe_numeric
 
@@ -370,6 +371,25 @@ def test_risk_report_paper_prior_takes_the_8_and_16_node_rules(criterion, n, mod
     assert 0.0 <= report.error <= crit.RISK_QUAD_TOL * report.value
 
 
+@pytest.mark.parametrize("terms, grad", [(False, False), (True, False), (False, True),
+                                         (True, True)])
+def test_paper_prior_rates_are_one_block_up_to_17_sites(terms, grad, monkeypatch):
+    # the optimizer's objective (value, terms, gradient or the terms'
+    # Jacobian) takes the first pass's 8 + 16 rates in one block
+    real, sizes = kern._interval_terms, []
+
+    def counted(theta, *args, **kwargs):
+        sizes.append(np.size(theta))
+        return real(theta, *args, **kwargs)
+    monkeypatch.setattr(kern, "_interval_terms", counted)
+    for n in (8, 17):
+        gaps = np.random.default_rng(n).dirichlet(np.ones(n - 1))
+        for criterion in ("smspe", "imspe"):
+            sizes.clear()
+            crit._risk(criterion, PAPER_PRIOR, gaps, "ordinary", terms=terms, grad=grad)
+            assert sizes[0] == 8 + 16
+
+
 # equispaced designs on wide priors, each against its value by mpmath.quad
 # at 40 digits with a breakpoint at every decade; a rule linear in theta
 # stopped at 24 nodes on [1, 1e6] and [1, 1e5], 1.4e-4 and 2.4e-4 off, and
@@ -464,16 +484,23 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_risk_quadrature_memory_does_not_grow_with_sites():
-    # the ordinary risk at n = 1e5 used to hold every (node, gap) term at
-    # once, about 590 MB traced; blocks keep it to a few arrays of gaps
+@pytest.mark.parametrize("model", ["simple", "ordinary"])
+@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
+@pytest.mark.parametrize("lo, hi, top", [(12.12, 22.12, 1e-4), (2e5, 3e5, 1.0)],
+                         ids=["series", "closed-forms"])
+def test_risk_quadrature_memory_does_not_grow_with_sites(lo, hi, top, criterion, model):
+    # a risk's value is one pass per rate over one work array, a row of gaps
+    # at n = 1e5 (0.8 MB); per-interval term arrays took 11-23 MB traced on
+    # the paper's prior, and holding every (node, gap) term at once about
+    # 590 MB.  On the paper's prior every theta * d is below the series
+    # cutoff, and on [2e5, 3e5] above it
     design = equispaced(10**5)
-    prior = ThetaPrior.uniform(12.12, 22.12)
+    prior = ThetaPrior.uniform(lo, hi)
     tracemalloc.start()
     try:
-        value = risk_imspe(prior, design, "ordinary")
+        value = risk_report(criterion, prior, design, model).value
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.0 < value < 1e-4
-    assert peak < 100e6
+    assert 0.0 < value < top
+    assert peak < 4e6

@@ -241,3 +241,32 @@ def test_pointwise_weights_filled_in_place_are_bit_identical(n, rng):
                 w = kern._pointwise(design, theta, x0, ordinary, weights=True)[2]
                 want = _concatenated_weights(design, theta, x0, ordinary)
                 assert np.array_equal(w.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("model", ["simple", "ordinary"])
+@pytest.mark.parametrize("criterion", ["smspe", "imspe"])
+def test_value_pass_matches_the_terms(criterion, model):
+    # the value alone (terms=False) skips the per-interval arrays: smspe is
+    # the widest gap's term, and imspe sums its series (the rate in each
+    # row's coefficients) or its closed forms in one work array.  The terms
+    # path is the reference; both sum the same terms in another order, so
+    # they agree to a few units in the last place (3.7 seen).  Rates run
+    # over 1e-8..1e4 as one block (series and direct forms mixed), as the
+    # block where every theta * d is below the series cutoff, and one at a
+    # time, up to theta * d = 5e3 where expm1(2x) would overflow; the work
+    # array starts as NaN.
+    rng = np.random.default_rng(11)
+    designs = [rng.dirichlet(np.ones(n - 1)) for n in (3, 17, 2000)]
+    designs += [np.full(999, 1 / 999), np.append(np.full(998, 0.5 / 998), 0.5),
+                np.array([1e-13, 0.25, 0.3, 0.45 - 1e-13])]
+    rates = np.geomspace(1e-8, 1e4, 61)
+    for gaps in designs:
+        small = rates[rates * gaps.max() < kern._SERIES_CUTOFF]
+        for theta in [rates, small, *rates]:
+            _, want = kern._interval_terms(theta, gaps, criterion, model)
+            work = np.full((np.size(theta), gaps.size), np.nan)
+            for got in (kern._interval_terms(theta, gaps, criterion, model, terms=False)[1],
+                        kern._interval_terms(theta, gaps, criterion, model, terms=False,
+                                             work=work)[1]):
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0.0)

@@ -130,6 +130,17 @@ WIDE_PRIORS = {
 }
 
 
+# 1e5-site designs, whose quadrature blocks hold one rate each: the
+# equispaced one, and one whose gaps are 0.5 and 0.5 / 99998, so that from
+# a rate of 1 up theta * d crosses the series cutoff and each block mixes
+# the series and direct forms.  On [1, 1e6] the equispaced design's theta
+# * d runs from 1e-5 to 10, past the cutoff, so its closed forms are
+# checked too.  On these three priors they add about 5 s.
+LARGE_N_DESIGNS = [equispaced(10**5),
+                   Design(0.0, 1.0, np.append(np.full(10**5 - 2, 0.5 / (10**5 - 2)), 0.5))]
+LARGE_N_PRIORS = ("uniform-0.5-50", "tabulated-kinked", "uniform-1-1e6")
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("criterion", ["smspe", "imspe"])
 @pytest.mark.parametrize("prior_name", sorted(WIDE_PRIORS))
@@ -149,7 +160,10 @@ def test_risks_match_mpmath_on_wide_and_kinked_priors(prior_name, criterion, mod
     # Dirichlet designs at n = 3 and 17; at n = 100 the equispaced one,
     # whose single distinct gap keeps mpmath cheap
     designs = [Design(0.0, 1.0, tuple(rng.dirichlet(np.ones(n - 1)))) for n in (3, 17)]
-    for design in designs + [equispaced(100)]:
+    designs.append(equispaced(100))
+    if prior_name in LARGE_N_PRIORS:
+        designs += LARGE_N_DESIGNS
+    for design in designs:
         gaps, counts = np.unique(design.gap_array(), return_counts=True)
         counts = [int(c) for c in counts]
         want = mp.mpf(0)
