@@ -7,8 +7,10 @@ cokriging, known or estimated mean), scores sampling designs by
 worst-case or integrated prediction error under an exponential
 correlation model, averages those scores over priors on the decay
 rate, and searches for optimal designs.  For every criterion here the
-equispaced design is optimal; the optimizer finds it numerically from
-an irregular start rather than assuming it.
+equispaced design is optimal.  The optimizer searches from an irregular
+start and evaluates the equispaced design as a candidate too; where a
+criterion is flat to rounding along the gap simplex (large rates, few
+sites) the search ends off it and that candidate gives the answer.
 
 Typical use::
 

@@ -40,13 +40,12 @@ all.  ``risk_report`` returns a risk with the nodes it took and the last
 doubling difference.
 
 A risk's value is one pass per rate over one work array of rates by
-gaps; where the rates take several blocks, every block reuses one array.
-``smspe`` is the widest gap's term, with ``q0`` summed in place for the
-ordinary model.  ``imspe`` sums its series in place on a block whose
-every ``theta d`` is below the series cutoff, as on many sites, and its
-closed forms on a block whose every ``theta d`` is above it; a block
-that mixes the two, and the optimizer's terms and gradients, build the
-per-interval arrays.
+gaps, which every block of rates reuses.  ``smspe`` is the widest gap's
+term, with ``q0`` summed in place for the ordinary model.  ``imspe``
+sums its series in place, and its closed forms at the gaps whose
+``theta d`` is past the series cutoff, whether a block has those on one
+side of the cutoff or on both; the optimizer's terms and gradients come
+from the same pass.
 """
 
 import math
@@ -92,11 +91,11 @@ RISK_QUAD_TOL = 1e-9
 _LOG_WIDTH = math.log(10.0)
 
 # The risk quadrature evaluates at most this many (node, gap) terms at
-# once, (node, gap, gap) entries with the terms' Jacobian.  A value's work
-# array holds this many, 256 KB, which stays in cache across its passes;
+# once, (node, gap, gap) entries with the terms' Jacobian.  The work array
+# holds this many, 256 KB, which stays in cache across a value's passes;
 # on more sites it is one row of gaps, so the memory does not grow beyond
-# that.  Up to 17 sites the paper prior's 24 rates are one block, with the
-# Jacobian too.
+# a few rows.  Up to 17 sites the paper prior's 24 rates are one block,
+# with the Jacobian too.
 _RISK_QUAD_BLOCK = 2**15
 
 
@@ -305,12 +304,11 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
     ``RISK_QUAD_START``- and doubled rules' rates together; each later
     pass doubles the node count, until two successive estimates differ by
     at most ``RISK_QUAD_TOL`` times the newer one's largest entry.  The
-    rates are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms.
-    The value alone is one pass per rate (see ``kernel._interval_terms``)
-    over one work array of rates by gaps: once a pass takes more than one
-    block, every later block and pass reuses one of ``block`` rows.  With
-    ``terms=True`` the per-interval terms are averaged instead, and
-    ``value`` is an array with one average per gap.
+    rates are evaluated in blocks of at most ``_RISK_QUAD_BLOCK`` terms,
+    each in one pass (see ``kernel._interval_terms``) over one work array
+    of rates by gaps, as many rows as a block takes, which every later
+    block and pass reuses.  With ``terms=True`` the per-interval terms are
+    averaged instead, and ``value`` is an array with one average per gap.
 
     ``grad=True`` returns the report and the derivatives in the gaps,
     averaged by the rule the value settled on: the value's gradient, or
@@ -325,8 +323,8 @@ def _risk(criterion: str, prior: ThetaPrior, gaps, model: str, terms: bool = Fal
         counts, prev = (RISK_QUAD_START, 2 * RISK_QUAD_START), None
         while True:
             thetas, weights = _prior_rule(prior, counts)[seg]
-            if work is None and thetas.size > block and not (terms or grad):
-                work = np.empty((block, gaps.size))
+            if work is None or len(work) < min(block, thetas.size):
+                work = np.empty((min(block, thetas.size), gaps.size))
             est = dest = 0
             for j in range(0, thetas.size, block):
                 out = kern._interval_terms(thetas[j:j + block], gaps, criterion, model,

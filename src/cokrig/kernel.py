@@ -106,117 +106,17 @@ def ones_quadratic_form(design: Design, theta: float) -> float:
     criteria Schur-convex.
     """
     theta = _positive(theta, "theta")
-    return 1.0 + float(np.sum(np.tanh(0.5 * theta * design.gaps)))
+    return float(_q0(_half_tanh(theta, design.gaps)))
 
 
-def _series_length(y_max: float, coefs) -> int:
-    """How many of ``coefs`` a series in ``y = x^2`` needs in double
-    precision up to ``y_max``, each term shrinking by at most ``0.21 y``."""
-    return min(coefs.size, 1 + int(-17.0 / math.log10(max(0.21 * y_max, 1e-300))))
+def _half_tanh(theta, gaps, out=None):
+    """``t = tanh(theta d / 2)`` for each gap, into ``out``."""
+    return np.tanh(np.multiply(0.5 * theta, gaps, out=out), out=out)
 
 
-def _gap_series(coefs, gaps, work, tail: int):
-    """``sum_i sum_k coefs[..., k] d_i^(2k + tail)`` for each row of
-    ``coefs``, by Horner's rule in ``d^2`` inside ``work`` (shaped like the
-    terms, overwritten)."""
-    np.multiply(coefs[..., -1:], gaps, out=work)
-    for k in range(coefs.shape[-1] - 2, -1, -1):
-        work *= gaps
-        work += coefs[..., k:k + 1]
-        work *= gaps
-    for _ in range(tail - 1):
-        work *= gaps
-    return work.sum(axis=-1)
-
-
-def _value(theta, rate, gaps, criterion: str, ordinary: bool, low, work):
-    """A criterion's value alone, in one pass per rate over ``work``.
-
-    Every term rises with its own gap at every rate, so ``smspe`` is the
-    widest gap's term, which for the ordinary model needs only ``q0``.
-    ``imspe`` is taken here when every ``x = theta d`` of the block is on
-    one side of ``_SERIES_CUTOFF``, or for the simple model when the
-    lowest rate ``low`` is at least ``k`` (see :func:`_interval_terms`);
-    otherwise None.  Below the cutoff the series sums are ``sum_k c_k
-    theta^(2k+1) sum_i d_i^(2k+2)`` and ``sum_k g_k theta^(2k+4) sum_i
-    d_i^(2k+5) / (2 q0)``, so the rate goes into each row's coefficients
-    and the gaps into ``work``.  Above it, with ``sum q = 2 theta sum_i d_i
-    / expm1(2 x_i)``, the value is ``sum d - (k - sum q) / theta``, and
-    the ordinary model adds ``(3 theta sum d - theta sum d t^2 - 6 sum t) /
-    (2 theta q0)``; ``sum d`` is taken as 1 where ``low >= k``, as there.
-    ``work`` holds at least ``theta.size`` rows of ``gaps.size``; None
-    allocates them.
-    """
-    k = gaps.size
-    series = False
-    if criterion == "imspe" and (ordinary or low < k):
-        # one product shows which side to test; a block on both sides is None
-        if theta.item(0) * gaps.item(0) < _SERIES_CUTOFF:
-            widest = gaps.max()
-            if low * widest >= _SERIES_CUTOFF:
-                return None
-            x_max = rate.max() * widest
-            series = x_max < _SERIES_CUTOFF
-            if not series:
-                return None
-        elif low * gaps.min() < _SERIES_CUTOFF:
-            return None
-    if ordinary or criterion == "imspe":
-        shape = rate.shape + gaps.shape
-        work = np.empty(shape) if work is None else work[:rate.size].reshape(shape)
-    if ordinary:
-        np.multiply(0.5 * theta, gaps, out=work)
-        tsum = np.tanh(work, out=work).sum(axis=-1)
-        q0 = 1.0 + tsum
-    if criterion == "smspe":
-        x = rate * gaps.max()
-        t = np.tanh(0.5 * x)
-        if ordinary:
-            e = np.exp(-0.5 * x)
-            t = t + (t * t * (1.0 + e * e) / (1.0 + e) ** 2) ** 2 / q0
-        return t
-    if not series:
-        total = 1.0 if low >= k else gaps.sum()
-        value = total - k / rate
-        if ordinary:
-            work *= work
-            work *= gaps
-            value += (3.0 * total - work.sum(axis=-1) - 6.0 * tsum / rate) / (2.0 * q0)
-        np.multiply(2.0 * theta, gaps, out=work)
-        # expm1 overflows from 709.8, and d / expm1(700) is below 1e-304 d
-        np.minimum(work, 700.0, out=work)
-        np.divide(gaps, np.expm1(work, out=work), out=work)
-        return value + 2.0 * work.sum(axis=-1)
-    n_coefs = np.arange(_series_length(x_max * x_max, _COTH_SERIES))
-    rate = rate[..., None]
-    value = _gap_series(_COTH_SERIES[n_coefs] * rate ** (2 * n_coefs + 1), gaps, work, 2)
-    if ordinary:
-        g = _G_SERIES[n_coefs] * rate ** (2 * n_coefs + 4) / (2.0 * q0[..., None])
-        value = value + _gap_series(g, gaps, work, 5)
-    return value
-
-
-def _piecewise(x, small, every, direct, coefs, power: int):
-    """``direct()`` where ``x >= _SERIES_CUTOFF``, and below it the series
-    ``sum_k coefs[k] x^(2k+power)`` by Horner's rule in ``x^2``; it sums as
-    many terms as double precision needs, each shrinking by at most
-    ``0.21 x^2``.  ``small`` is ``x < _SERIES_CUTOFF``; ``every`` is True
-    only if ``small.all()``, and False gives the same result.
-    """
-    out = None if every else direct()
-    if not (every or small.any()):
-        return out
-    xs = x if every else x[small]
-    y = xs * xs
-    k = _series_length(float(y.max()), coefs)
-    acc = coefs[k - 1]
-    for c in coefs[:k - 1][::-1]:
-        acc = acc * y + c
-    acc = acc * (y if power == 2 else y * y * xs if power == 5 else y * y if power == 4 else xs)
-    if every:
-        return acc
-    out[small] = acc
-    return out
+def _q0(t):
+    """``q0 = 1' P^{-1} 1 = 1 + sum t`` for each rate."""
+    return 1.0 + t.sum(axis=-1)
 
 
 def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
@@ -225,23 +125,30 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
 
     The forms are those of the ``criteria`` module docstring; ``theta``
     may be an array (terms ``theta.shape + gaps.shape``, value
-    ``theta.shape``).  ``x coth x - 1`` is ``x - 1 + q`` with ``q = 2 x
-    e^{-2x} / (1 - e^{-2x})``; as the gaps sum to one, the simple imspe
-    value is also ``1 - (k - sum q) / theta`` for ``k`` gaps, whose
-    design-independent part is exact, used once every ``theta >= k``
-    (some ``x >= 1`` then).  ``terms=False`` returns None for terms when
-    it takes the value alone in one pass per rate over ``work`` (see
-    :func:`_value`; a work array of at least ``theta.size`` rows of gaps, or
-    None to allocate one): for ``smspe`` always, and for ``imspe`` on a
-    block whose every ``x`` is on one side of ``_SERIES_CUTOFF``.  An
-    ``imspe`` block that mixes the two sides, and ``terms`` and ``grad``,
-    build the per-interval terms.
+    ``theta.shape``).  ``terms=False`` returns None for the terms.
+    ``work`` is an array of at least ``theta.size`` rows of gaps,
+    overwritten, or None to allocate one; a value alone is one pass per
+    rate over it, each per-gap array summed before the next one takes it.
+
+    Every term rises with its own gap, so the ``smspe`` value is the
+    widest gap's term, which for the ordinary model needs ``q0`` too.
+    For ``imspe`` a gap's term is ``F(x) / theta`` with ``F(x) = x coth x
+    - 1``, plus for the ordinary model ``G(x) / (2 theta q0)`` with ``G(x)
+    = x (3 - t^2) - 6 t``.  Below ``_SERIES_CUTOFF`` each is its Taylor
+    series in ``x``, by Horner's rule in ``x^2`` with ``x`` set to zero at
+    the gaps past the cutoff, and past it its closed form, taken at those
+    gaps only; with ``q = 2 x / expm1(2 x)``, ``F(x) = x - 1 + q``.  The
+    value sums the terms, except where every ``x`` is past the cutoff or
+    every rate is at least ``k`` (some ``x >= 1`` then, on ``k`` unit-sum
+    gaps): there the sum of ``F`` is ``theta sum d - k + sum q``, with
+    ``sum d`` taken as 1 in the latter case, so that its
+    design-independent part is exact.
 
     ``grad=True`` adds a third item, the derivatives in the gaps from the
     same pass: for ``imspe`` the value's gradient (shaped like the terms),
     for ``smspe`` the terms' Jacobian (``theta.shape + (k, k)``).  With
-    ``t' = (theta / 2) sech^2(x / 2)`` the gradient is ``coth x - x
-    csch^2 x`` per gap, plus for the ordinary model ``G'(x) / (2 q0) -
+    ``t' = (theta / 2) sech^2(x / 2)`` the gradient is ``F'(x) = coth x -
+    x csch^2 x`` per gap, plus for the ordinary model ``G'(x) / (2 q0) -
     t' sum g / q0`` with ``G' = t (2 t - x sech^2(x / 2))``; the Jacobian
     is ``diag(t')`` for the simple model, and for the ordinary model with
     ``s = 1 - sech(x / 2)`` it is ``diag(t' + theta s sech t / q0) - (s^2 /
@@ -251,65 +158,141 @@ def _interval_terms(theta, gaps, criterion: str, model: str, terms: bool = True,
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     ordinary = model == "ordinary"
-    rate, k = theta[..., 0], gaps.shape[-1]
-    low = rate.min() if criterion == "imspe" else None
-    if not (terms or grad):
-        value = _value(theta, rate, gaps, criterion, ordinary, low, work)
-        if value is not None:
-            return None, value
-    x = theta * gaps
-    tanh_terms = ordinary or criterion == "smspe"
-    if tanh_terms:
-        t = np.tanh(0.5 * x)
-    if ordinary:
-        q0 = 1.0 + t.sum(axis=-1, keepdims=True)
-    if (criterion == "smspe" and ordinary) or (grad and tanh_terms):
-        e = np.exp(-0.5 * x)
-    if grad and tanh_terms:
-        sech = 2.0 * e / (1.0 + e * e)
-        dt = 0.5 * theta * sech * sech
+    rate, k = theta[..., 0], gaps.size
+    shape = rate.shape + gaps.shape
+    work = None if work is None else work[:rate.size].reshape(shape)
+    full = terms or grad
     if criterion == "smspe":
-        if grad:
-            diag, low = dt, 0.0
-            if ordinary:
-                s = t * t * (1.0 + e * e) / (1.0 + e) ** 2
-                diag = dt + theta * s * sech * t / q0
-                low = (s * s / (q0 * q0))[..., :, None] * dt[..., None, :]
-            jac = np.eye(gaps.shape[-1]) * diag[..., None, :] - low
+        sites = gaps if full else gaps.max(keepdims=True)
+        t = _half_tanh(theta, sites, work if full else None)
         if ordinary:
-            t = t + (t * t * (1.0 + e * e) / (1.0 + e) ** 2) ** 2 / q0
-        value = t.max(axis=-1, initial=0.0)
-        return (t, value, jac) if grad else (t, value)
-
-    split = low >= k
-    small = x < _SERIES_CUTOFF
-    # split has some x >= 1 on unit-sum gaps, and a value alone gets here
-    # only for a block with x on both sides of the cutoff
-    every = not split and (terms or grad) and small.all()
-    if not every:
-        m = -2.0 * x
-        em, den = np.exp(m), np.expm1(m)
-        q = m * em / den
-    per = None
-    if terms or not split:
-        per = _piecewise(x, small, every, lambda: x - 1.0 + q, _COTH_SERIES, 2) / theta
-    value = 1.0 - (k - q.sum(axis=-1)) / rate if split else per.sum(axis=-1)
-    if grad:
-        def d_coth():
-            # coth x - x csch^2 x with c = coth x - 1, q = x c, csch^2 = c (c + 2)
-            c = -2.0 * em / den
-            return 1.0 + c - q * (c + 2.0)
-        dvalue = _piecewise(x, small, every, d_coth, _D_COTH_SERIES, 1)
-    if ordinary:
-        g = _piecewise(x, small, every, lambda: x * (3.0 - t * t) - 6.0 * t, _G_SERIES, 5)
-        g /= 2.0 * theta * q0
-        per = None if per is None else per + g
-        value = value + g.sum(axis=-1)
+            q0 = _q0(t if full else _half_tanh(theta, gaps, work))[..., None]
+        if ordinary or grad:
+            e = np.exp(-0.5 * theta * sites)
+        if ordinary:
+            s = t * t * (1.0 + e * e) / (1.0 + e) ** 2
         if grad:
-            dg = _piecewise(x, small, every, lambda: t * (2.0 * t - x * (sech * sech)),
-                            _D_G_SERIES, 4)
-            dvalue = dvalue + dg / (2.0 * q0) - g.sum(axis=-1, keepdims=True) * dt / q0
+            sech = 2.0 * e / (1.0 + e * e)
+            dt = 0.5 * theta * sech * sech
+            diag, rank_one = dt, 0.0
+            if ordinary:
+                diag = dt + theta * s * sech * t / q0
+                rank_one = (s * s / (q0 * q0))[..., :, None] * dt[..., None, :]
+            jac = np.eye(k) * diag[..., None, :] - rank_one
+        if ordinary:
+            t = t + s * s / q0
+        out = (t if terms else None, t.max(axis=-1, initial=0.0))
+        return out + (jac,) if grad else out
+
+    if work is None and (ordinary or not full):
+        work = np.empty(shape)
+    if ordinary:
+        t = _half_tanh(theta, gaps, work)
+        q0 = _q0(t)
+    # once every rate is at least k, some x >= 1 on k unit-sum gaps, and
+    # the value sums the closed forms over every gap
+    split = rate.min() >= k
+    x_max = None if split else rate.max() * gaps.max()
+    every_small, every_big = not split and x_max < _SERIES_CUTOFF, False
+    if not every_small:
+        x = theta * gaps
+        if not split or terms or grad or ordinary:
+            every_big = x.min() >= _SERIES_CUTOFF
+    mixed = not (every_small or every_big)
+    summed = every_big or split
+    with_f = terms or not summed
+    per_gap = with_f or grad or ordinary
+    if grad and ordinary:
+        e = np.exp(-0.5 * theta * gaps)
+        sech = 2.0 * e / (1.0 + e * e)
+    # q of every gap, once, when both the closed forms and their sum need it
+    q_all = _q(x, np.empty(shape)) if summed and (with_f or grad) else None
+    if per_gap and not every_small:
+        # the closed forms' inputs: every gap's, or those past the cutoff
+        at = np.greater_equal(x, _SERIES_CUTOFF) if mixed else ...
+        xb = x[at]
+        tb = t[at] if ordinary else None
+        sb = sech[at] if grad and ordinary else None
+        if with_f or grad:
+            qb = q_all[at] if summed else _q(xb, np.empty(xb.shape))
+    if per_gap and not every_big:
+        if mixed:
+            # x is zero past the cutoff, so that the series stays finite
+            # there and its length follows the gaps below; in place, unless
+            # the closed forms' sum still needs x
+            y = x.copy() if summed and q_all is None else x
+            y[at] = 0.0
+            x_max = y.max()
+        else:
+            y = theta * gaps
+        y *= y
+        # each term is at most 0.21 x^2 times the one before
+        n = min(_COTH_SERIES.size, 1 + int(-17.0 / math.log10(max(0.21 * x_max * x_max, 1e-300))))
+
+    def piece(coefs, tail: int, closed):
+        """Per gap, ``sum_j coefs[j] x^(2j+tail)`` below the cutoff and
+        ``closed()`` past it; a value alone takes it in ``work``."""
+        if every_big:
+            return closed()
+        out = np.empty(shape) if full else work
+        out[...] = coefs[n - 1]
+        for c in coefs[:n - 1][::-1]:
+            out *= y
+            out += c
+        for _ in range(tail // 2):
+            out *= y
+        if tail % 2:
+            out *= gaps
+            out *= theta
+        if mixed:
+            out[at] = closed()
+        return out
+
+    def f_prime():
+        # coth x - x csch^2 x with c = coth x - 1 = q / x, csch^2 = c (c + 2)
+        c = qb / xb
+        return 1.0 + c - qb * (c + 2.0)
+
+    # a value alone sums each per-gap array before the next takes work
+    per, value = None, 0.0
+    if with_f:
+        f = piece(_COTH_SERIES, 2, lambda: _xcoth(xb, 1.0, qb))
+        if terms:
+            per = f / theta
+        if not summed:
+            value = f.sum(axis=-1) / rate
+    if grad:
+        dvalue = piece(_D_COTH_SERIES, 1, f_prime)
+    if ordinary:
+        g = piece(_G_SERIES, 5, lambda: xb * (3.0 - tb * tb) - 6.0 * tb)
+        gsum = g.sum(axis=-1) / (2.0 * rate * q0)
+        value = value + gsum
+        q0 = q0[..., None]
+        if terms:
+            per = per + g / (2.0 * theta * q0)
+        if grad:
+            dg = piece(_D_G_SERIES, 4, lambda: tb * (2.0 * tb - xb * (sb * sb)))
+            dt = 0.5 * theta * sech * sech
+            dvalue = dvalue + dg / (2.0 * q0) - gsum[..., None] * dt / q0
+    if summed:
+        q = q_all if q_all is not None else _q(x, work)
+        fsum = _xcoth(rate if split else rate * gaps.sum(), k, q.sum(axis=-1))
+        value = fsum / rate + value if ordinary else fsum / rate
     return (per, value, dvalue) if grad else (per, value)
+
+
+def _q(x, out):
+    """``q = 2 x / expm1(2 x)``, into ``out``; 2x is capped at 700, as
+    expm1 overflows from 709.8 and x / expm1(700) is below 1e-300."""
+    np.minimum(np.multiply(2.0, x, out=out), 700.0, out=out)
+    np.divide(x, np.expm1(out, out=out), out=out)
+    out *= 2.0
+    return out
+
+
+def _xcoth(x, count, q):
+    """``x coth x - 1 = x - 1 + q``, or its sum over ``count`` gaps."""
+    return x - (count - q)
 
 
 def _bracket(design: Design, x0) -> np.ndarray:
@@ -352,8 +335,8 @@ def _pointwise(design: Design, theta: float, x0, ordinary: bool = False,
     err = ea * eb / -ed
     cross = np.expm1(-theta * a) * np.expm1(-theta * b) / (1.0 + np.exp(-theta * d))
     if ordinary:
-        t = np.tanh(0.5 * theta * design.gaps)
-        q0 = 1.0 + float(np.sum(t))
+        t = _half_tanh(theta, design.gaps)
+        q0 = _q0(t)
         err = err + cross**2 / q0
     if not weights:
         return err, cross

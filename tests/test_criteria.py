@@ -486,15 +486,20 @@ def test_import_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("model", ["simple", "ordinary"])
 @pytest.mark.parametrize("criterion", ["smspe", "imspe"])
-@pytest.mark.parametrize("lo, hi, top", [(12.12, 22.12, 1e-4), (2e5, 3e5, 1.0)],
-                         ids=["series", "closed-forms"])
-def test_risk_quadrature_memory_does_not_grow_with_sites(lo, hi, top, criterion, model):
+@pytest.mark.parametrize("lo, hi, top, mixed", [(12.12, 22.12, 1e-4, False),
+                                                (2e5, 3e5, 1.0, False),
+                                                (12.12, 22.12, 2.0, True)],
+                         ids=["series", "closed-forms", "mixed"])
+def test_risk_quadrature_memory_does_not_grow_with_sites(lo, hi, top, mixed, criterion, model):
     # a risk's value is one pass per rate over one work array, a row of gaps
     # at n = 1e5 (0.8 MB); per-interval term arrays took 11-23 MB traced on
     # the paper's prior, and holding every (node, gap) term at once about
-    # 590 MB.  On the paper's prior every theta * d is below the series
-    # cutoff, and on [2e5, 3e5] above it
-    design = equispaced(10**5)
+    # 590 MB.  On the paper's prior every theta * d of the equispaced design
+    # is below the series cutoff, and on [2e5, 3e5] above it; the mixed
+    # design, one gap of 0.5 and the rest 0.5 / 99998, has both in every row
+    n = 10**5
+    design = (Design(0.0, 1.0, np.append(np.full(n - 2, 0.5 / (n - 2)), 0.5)) if mixed
+              else equispaced(n))
     prior = ThetaPrior.uniform(lo, hi)
     tracemalloc.start()
     try:

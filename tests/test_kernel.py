@@ -246,15 +246,16 @@ def test_pointwise_weights_filled_in_place_are_bit_identical(n, rng):
 @pytest.mark.parametrize("model", ["simple", "ordinary"])
 @pytest.mark.parametrize("criterion", ["smspe", "imspe"])
 def test_value_pass_matches_the_terms(criterion, model):
-    # the value alone (terms=False) skips the per-interval arrays: smspe is
-    # the widest gap's term, and imspe sums its series (the rate in each
-    # row's coefficients) or its closed forms in one work array.  The terms
-    # path is the reference; both sum the same terms in another order, so
-    # they agree to a few units in the last place (3.7 seen).  Rates run
-    # over 1e-8..1e4 as one block (series and direct forms mixed), as the
-    # block where every theta * d is below the series cutoff, and one at a
-    # time, up to theta * d = 5e3 where expm1(2x) would overflow; the work
-    # array starts as NaN.
+    # the value alone (terms=False) is the same pass as the terms, without
+    # keeping them: smspe is the widest gap's term, and imspe sums each
+    # per-gap array (series below the cutoff, closed forms past it) in the
+    # work array before the next one takes it.  The terms path is the
+    # reference; the two agree to the bit on every case here, and the bound
+    # leaves room for summation order.  Rates run over 1e-8..1e4 as one
+    # block (series and closed forms mixed), as the block where every
+    # theta * d is below the series cutoff, and one at a time, up to
+    # theta * d = 5e3 where expm1(2x) would overflow; the work array starts
+    # as NaN.
     rng = np.random.default_rng(11)
     designs = [rng.dirichlet(np.ones(n - 1)) for n in (3, 17, 2000)]
     designs += [np.full(999, 1 / 999), np.append(np.full(998, 0.5 / 998), 0.5),
